@@ -37,6 +37,12 @@
 #                  ≥10x fewer trials, all engines reduce byte-equally,
 #                  and planned pause/resume is byte-identical; cmp
 #                  enforces deterministic same-seed reports
+#   make golden  — refactor-invariance gate: recomputes every row of
+#                  golden/digests.tsv (a repro invocation and the sha256
+#                  of its --json report and stdout) and fails, listing
+#                  the rows that moved, unless all are byte-identical
+#   make golden-update — rewrites golden/digests.tsv after an intended
+#                  model change (show its diff in the change description)
 #   make bench   — campaign engine benchmark; rewrites BENCH_campaign.json
 #   make bench-smoke — CI-sized campaign bench: copy-on-write cloning
 #                  must be ≥2x replay-from-cold (both paths sped up
@@ -46,7 +52,7 @@
 
 CARGO ?= cargo
 
-.PHONY: all build test lint lint-core lint-workspace sweep-smoke obs-smoke recovery-smoke fleet-smoke kv-smoke serve-smoke plan-smoke bench bench-smoke check clean
+.PHONY: all build test lint lint-core lint-workspace sweep-smoke obs-smoke recovery-smoke fleet-smoke kv-smoke serve-smoke plan-smoke golden golden-update bench bench-smoke check clean
 
 all: check
 
@@ -154,7 +160,16 @@ plan-smoke: build
 	./target/release/repro --exp plan --json target/plan-b.json
 	cmp target/plan-a.json target/plan-b.json
 
-check: build lint test sweep-smoke obs-smoke recovery-smoke fleet-smoke kv-smoke serve-smoke plan-smoke bench-smoke
+# Every smoke target cmp's two runs of the same tree, which proves
+# determinism; golden compares against digests committed from an earlier
+# tree, which proves a refactor changed no report byte.
+golden: build
+	bash golden/check.sh
+
+golden-update: build
+	bash golden/check.sh --update
+
+check: build lint test sweep-smoke obs-smoke recovery-smoke fleet-smoke kv-smoke serve-smoke plan-smoke golden bench-smoke
 
 clean:
 	$(CARGO) clean

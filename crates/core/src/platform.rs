@@ -247,12 +247,19 @@ pub struct TrialOutcome {
 #[derive(Debug)]
 pub struct TestPlatform {
     config: TrialConfig,
+    /// [`TestPlatform::config_digest`], computed once: the configuration
+    /// cannot change after construction.
+    config_digest: u64,
 }
 
 impl TestPlatform {
     /// Creates a platform for the given trial configuration.
     pub fn new(config: TrialConfig) -> Self {
-        TestPlatform { config }
+        let config_digest = fnv64(format!("{config:?}").as_bytes());
+        TestPlatform {
+            config,
+            config_digest,
+        }
     }
 
     /// The trial configuration.
@@ -265,7 +272,7 @@ impl TestPlatform {
     /// warm snapshots, so the campaign engine keys its snapshot cache on
     /// this value.
     pub fn config_digest(&self) -> u64 {
-        fnv64(format!("{:?}", self.config).as_bytes())
+        self.config_digest
     }
 
     /// Runs one complete trial with the given seed, reporting watchdog
@@ -295,15 +302,18 @@ impl TestPlatform {
     /// ([`pfault_ssd::DeviceImage::clone_cow`]), so per-trial setup
     /// costs the trial's working set, not the whole device. The image
     /// must come from a platform with the same
-    /// [`TestPlatform::config_digest`]; handing over a mismatched image
-    /// is a logic error (debug builds assert, release builds run the
-    /// trial on the foreign state).
+    /// [`TestPlatform::config_digest`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when the image was captured under a different trial
+    /// configuration: a trial on foreign state would be silently wrong.
     pub fn run_trial_from_image(
         &self,
         image: &pfault_ssd::DeviceImage,
         seed: u64,
     ) -> Result<TrialOutcome, TrialError> {
-        debug_assert_eq!(
+        assert_eq!(
             image.config_digest(),
             self.config_digest(),
             "image captured under a different trial configuration"
@@ -914,6 +924,14 @@ mod tests {
                 "seed {seed}: a CoW clone must replay the warm-up exactly"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "image captured under a different trial configuration")]
+    fn foreign_image_is_refused() {
+        let image = TestPlatform::new(small_config().with_warmup_requests(8)).warm_image();
+        let other = TestPlatform::new(small_config().with_warmup_requests(9));
+        let _ = other.run_trial_from_image(&image, 3);
     }
 
     #[test]

@@ -8,17 +8,29 @@
 //! 1. **Census** — run the workload once, fault-free, with the device's
 //!    fault-site recording enabled ([`pfault_ssd::FaultSite`]). Every
 //!    durability-relevant operation leaves a [`pfault_ssd::SiteSpan`]
-//!    `(site, occurrence, start, end)`.
+//!    `(site, occurrence, start, end)`. The device clock at the top of
+//!    every op, and of every step of the background tail after the last
+//!    op, is noted as a *boundary*.
 //! 2. **Expand** — each span yields up to three cut instants, one per
 //!    [`Phase`]: `Start` (the operation just began), `Mid` (halfway
 //!    through its program window), `End` (the exact completion instant —
 //!    the half-open boundary documented on
 //!    [`pfault_power::FaultTimeline::brownout_window`] guarantees the
 //!    operation *completes* there).
-//! 3. **Sweep** — one trial per cut: a fresh same-seed device replays the
-//!    identical workload, the rail vanishes at the planned instant
-//!    ([`pfault_power::FaultTimeline::at_instant`]), the device recovers,
-//!    and the recovery-invariant [oracle](#the-oracle) runs.
+//! 3. **Sweep** — one trial per cut, run in order of the cut instant. A
+//!    recording-off *ladder* device walks forward through the ops and
+//!    the tail; each cut clones the ladder at the last boundary strictly
+//!    before the cut (its *rung*), continues the same driver loops until
+//!    the rail vanishes at the planned instant
+//!    ([`pfault_power::FaultTimeline::at_instant`]), recovers, and runs
+//!    the recovery-invariant [oracle](#the-oracle). Results are filed back
+//!    by canonical (census × phase) index. The rung is exact: before the
+//!    cut no advance target is clamped, so the device, its RNG position,
+//!    the event counter and the request ids at that boundary equal those
+//!    of a drive from a cold device — the argument that already makes
+//!    census spans replayable. The sweep thus executes each op and tail
+//!    step once on the ladder plus at most one op or step per cut,
+//!    instead of every cut's whole prefix.
 //! 4. **Minimize** — a ddmin-style shrinker reduces a failing workload to
 //!    a minimal reproducer ([`Sweeper::minimize`]).
 //!
@@ -61,6 +73,16 @@ use crate::error::TrialError;
 
 /// A sorted logical→physical snapshot, as the oracle compares them.
 type MappedEntries = Vec<(Lba, Ppa)>;
+
+/// Every `(logical sector, op index)` pair the workload writes, sorted:
+/// per sector, the ops that issued a content version of it, in
+/// submission order. Input to the no-phantom check, which reads only the
+/// versions of the ops a trial submitted.
+type Issued = Vec<(u64, u32)>;
+
+/// What one trial found: the violated invariants (empty = clean), or why
+/// it ended without a verdict.
+type TrialResult = Result<Vec<(ViolationKind, String)>, TrialError>;
 
 /// One host operation of an explicit sweep workload. Unlike the campaign
 /// generator's stochastic stream, sweep workloads are concrete op lists so
@@ -177,6 +199,20 @@ pub struct SweepReport {
     pub failures: TrialFailures,
 }
 
+impl SweepReport {
+    /// Files the result of trial `index`, which cut at `cut`.
+    fn file(&mut self, index: usize, cut: &PlannedCut, result: TrialResult) {
+        match result {
+            Ok(found) => self.violations.extend(
+                found
+                    .into_iter()
+                    .map(|(kind, detail)| cut.violation(kind, detail)),
+            ),
+            Err(error) => self.failures.record(index as u64, &error),
+        }
+    }
+}
+
 /// A minimal failing reproducer found by [`Sweeper::minimize`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MinimalRepro {
@@ -257,14 +293,42 @@ struct PlannedCut {
     occurrence: u64,
     phase: Phase,
     at: SimTime,
+    /// Canonical (census × phase) trial index.
+    index: u32,
 }
 
-/// The device state a driver run leaves behind.
-struct Driven {
+impl PlannedCut {
+    fn violation(&self, kind: ViolationKind, detail: String) -> Violation {
+        Violation {
+            site: self.site,
+            occurrence: self.occurrence,
+            phase: self.phase,
+            cut_us: self.at.as_micros(),
+            kind,
+            detail,
+        }
+    }
+}
+
+/// The driver's state at a boundary: everything the op loop and the
+/// tail loop carry from one op or tail step to the next. A fresh device
+/// before op 0 is rung 0; a trial resumes from (a clone of) some rung
+/// and runs on to its cut. Rung `r` has op `r` next, or, past the last
+/// op, `r - ops` tail steps taken.
+#[derive(Clone)]
+struct Rung {
     ssd: Ssd,
-    /// Every content version the host issued, per logical sector (in
-    /// submission order). Input to the no-phantom check.
-    issued: BTreeMap<u64, Vec<PageData>>,
+    /// Index of the next op to submit. After a cut: how many ops the
+    /// trial submitted.
+    op: usize,
+    /// Tail steps taken: device events advanced past after the last op.
+    step: u64,
+    /// Event-loop iterations so far (the watchdog's meter).
+    events: u64,
+    /// Request id of the next data write.
+    next_id: u64,
+    /// Request id of the last FLUSH barrier.
+    flush_id: u64,
 }
 
 /// Boundary sweeper over one `(device, seed, workload)` triple.
@@ -293,37 +357,40 @@ impl Sweeper {
 
     /// Runs the fault-free census and returns every recorded site span.
     pub fn census(&self) -> Result<Vec<SiteSpan>, TrialError> {
-        let driven = self.drive(None, true)?;
-        Ok(driven.ssd.site_spans().to_vec())
+        Ok(self.survey()?.0)
     }
 
     /// Runs the full sweep: census, expansion, one trial per cut, oracle.
     pub fn run(&self) -> Result<SweepReport, TrialError> {
-        let spans = self.census()?;
-        let cuts = Self::expand(&spans);
+        let (spans, boundaries) = self.survey()?;
+        let mut cuts = Self::expand(&spans);
         let mut report = SweepReport {
             sites_censused: spans.len(),
-            trials: 0,
+            trials: cuts.len() as u64,
             violations: Vec::new(),
             failures: TrialFailures::default(),
         };
-        for (index, cut) in cuts.iter().enumerate() {
-            report.trials += 1;
-            match self.run_trial(cut.at) {
-                Ok(found) => {
-                    for (kind, detail) in found {
-                        report.violations.push(Violation {
-                            site: cut.site,
-                            occurrence: cut.occurrence,
-                            phase: cut.phase,
-                            cut_us: cut.at.as_micros(),
-                            kind,
-                            detail,
-                        });
-                    }
-                }
-                Err(error) => report.failures.record(index as u64, &error),
+        drop(spans);
+        let issued = self.issued();
+        // Time order; the stable sort keeps canonical order on ties.
+        cuts.sort_by_key(|cut| cut.at);
+        let mut ladder = self.rung_zero(false);
+        // Clean trials file nothing, so only the others are kept.
+        let mut unclean = BTreeMap::new();
+        for cut in cuts {
+            // The last boundary strictly before the cut; rung 0 (the cold
+            // device) when there is none.
+            let rung = boundaries
+                .partition_point(|&t| t < cut.at)
+                .saturating_sub(1);
+            self.climb(&mut ladder, rung)?;
+            let result = self.run_trial(ladder.clone(), cut.at, &issued);
+            if !matches!(&result, Ok(found) if found.is_empty()) {
+                unclean.insert(cut.index, (cut, result));
             }
+        }
+        for (index, (cut, result)) in unclean {
+            report.file(index as usize, &cut, result);
         }
         Ok(report)
     }
@@ -331,20 +398,15 @@ impl Sweeper {
     /// Sweeps until the first violation of `kind` and returns it (trials
     /// after the hit are skipped — the minimizer's fast path).
     pub fn find_first(&self, kind: ViolationKind) -> Result<Option<Violation>, TrialError> {
-        let spans = self.census()?;
+        let (spans, _) = self.survey()?;
+        let issued = self.issued();
         for cut in Self::expand(&spans) {
-            let Ok(found) = self.run_trial(cut.at) else {
+            // Canonical order is not time order: every cut starts at rung 0.
+            let Ok(found) = self.run_trial(self.rung_zero(false), cut.at, &issued) else {
                 continue; // bricked trials cannot witness this kind
             };
             if let Some((k, detail)) = found.into_iter().find(|(k, _)| *k == kind) {
-                return Ok(Some(Violation {
-                    site: cut.site,
-                    occurrence: cut.occurrence,
-                    phase: cut.phase,
-                    cut_us: cut.at.as_micros(),
-                    kind: k,
-                    detail,
-                }));
+                return Ok(Some(cut.violation(k, detail)));
             }
         }
         Ok(None)
@@ -397,7 +459,7 @@ impl Sweeper {
     /// Expands census spans into planned cuts, collapsing degenerate
     /// phases (zero-width spans yield a single `Start` cut).
     fn expand(spans: &[SiteSpan]) -> Vec<PlannedCut> {
-        let mut cuts = Vec::new();
+        let mut cuts = Vec::with_capacity(spans.len() * Phase::ALL.len());
         for span in spans {
             for phase in Phase::ALL {
                 let at = match phase {
@@ -419,16 +481,17 @@ impl Sweeper {
                     occurrence: span.index,
                     phase,
                     at,
+                    index: cuts.len() as u32,
                 });
             }
         }
         cuts
     }
 
-    /// One sweep trial: replay to `cut`, drop the rail, recover, run the
-    /// oracle. Returns the violated invariants (empty = clean).
-    fn run_trial(&self, cut: SimTime) -> Result<Vec<(ViolationKind, String)>, TrialError> {
-        let mut driven = self.drive(Some(cut), false)?;
+    /// One sweep trial: resume `rung` to `cut`, drop the rail, recover,
+    /// run the oracle.
+    fn run_trial(&self, rung: Rung, cut: SimTime, issued: &Issued) -> TrialResult {
+        let mut driven = self.drive(rung, cut)?;
         let ssd = &mut driven.ssd;
         let mut at = ssd.now().max(cut) + SimDuration::from_secs(1);
         let mut attempts = 0u32;
@@ -469,14 +532,16 @@ impl Sweeper {
                 }
             }
         }
-        Ok(self.oracle(ssd, &driven.issued))
+        Ok(self.oracle(ssd, issued, driven.op))
     }
 
-    /// The recovery-invariant oracle. See the module docs.
+    /// The recovery-invariant oracle over a trial that submitted the
+    /// first `submitted` ops. See the module docs.
     fn oracle(
         &self,
         ssd: &mut Ssd,
-        issued: &BTreeMap<u64, Vec<PageData>>,
+        issued: &Issued,
+        submitted: usize,
     ) -> Vec<(ViolationKind, String)> {
         let mut violations = Vec::new();
 
@@ -511,10 +576,20 @@ impl Sweeper {
         // No phantom data: every intact readable sector must hold a
         // version the host issued for that LBA (stale is fine; torn or
         // paired-corrupted pages fail is_intact and are data loss, not a
-        // protocol violation).
-        for (&lba, versions) in issued {
+        // protocol violation). Sectors no submitted op wrote are not read.
+        for versions in issued.chunk_by(|a, b| a.0 == b.0) {
+            let lba = versions[0].0;
+            let versions =
+                &versions[..versions.partition_point(|&(_, op)| (op as usize) < submitted)];
+            if versions.is_empty() {
+                continue;
+            }
             if let VerifiedContent::Written(data) = ssd.verify_read(Lba::new(lba)) {
-                if data.is_intact() && !versions.contains(&data) {
+                if data.is_intact()
+                    && !versions
+                        .iter()
+                        .any(|&(_, op)| self.issued_content(op, lba) == data)
+                {
                     violations.push((
                         ViolationKind::PhantomData,
                         format!("lba {lba} reads back intact content the host never wrote there"),
@@ -584,114 +659,181 @@ impl Sweeper {
         (build(true), build(false))
     }
 
-    /// Drives the workload on a fresh same-seed device. With `cut: None`
-    /// the run continues until the device goes idle (the census); with a
-    /// cut, submission and event processing stop at the instant, the rail
-    /// vanishes ([`FaultTimeline::at_instant`]), and the dead device is
-    /// returned for recovery. Pre-cut event timing is identical between
-    /// the two modes, which is what makes recorded spans replayable.
-    fn drive(&self, cut: Option<SimTime>, record: bool) -> Result<Driven, TrialError> {
-        let root = DetRng::new(self.config.seed);
-        let mut ssd = Ssd::new(self.config.ssd, root.fork("ssd"));
+    /// Every sector the workload writes, with the ops that write it (see
+    /// [`Issued`]).
+    fn issued(&self) -> Issued {
+        let mut issued: Issued = self
+            .config
+            .ops
+            .iter()
+            .enumerate()
+            .flat_map(|(index, op)| {
+                let sectors = match *op {
+                    IoOp::Write { lba, sectors, .. } => lba..lba + sectors.max(1),
+                    _ => 0..0,
+                };
+                sectors.map(move |lba| (lba, index as u32))
+            })
+            .collect();
+        issued.sort_unstable();
+        issued.shrink_to_fit();
+        issued
+    }
+
+    /// The content write op `op` of [`Issued`] stores in sector `lba`.
+    /// Contents derive from the tag and the sector offset, not from the
+    /// request id, so the op list alone determines them.
+    fn issued_content(&self, op: u32, lba: u64) -> PageData {
+        let IoOp::Write {
+            lba: first,
+            sectors,
+            tag,
+        } = self.config.ops[op as usize]
+        else {
+            unreachable!("only writes issue content");
+        };
+        let cmd = HostCommand::write(0, 0, Lba::new(first), SectorCount::new(sectors.max(1)), tag);
+        cmd.sector_content(lba - first)
+    }
+
+    /// The census drive: rung 0 with site recording on, climbed one rung
+    /// at a time until the device goes idle. Returns every recorded span
+    /// and the boundaries — `boundaries[r]` is the device clock at rung
+    /// `r`: the top of every op, then the top of every tail step.
+    fn survey(&self) -> Result<(Vec<SiteSpan>, Vec<SimTime>), TrialError> {
+        let mut rung = self.rung_zero(true);
+        let mut boundaries = Vec::with_capacity(self.config.ops.len() + 1);
+        loop {
+            boundaries.push(rung.ssd.now());
+            if self.climb(&mut rung, boundaries.len())? {
+                break;
+            }
+        }
+        Ok((rung.ssd.site_spans().to_vec(), boundaries))
+    }
+
+    /// Walks `rung` forward, without a cut, to rung `to` (see [`Rung`]).
+    /// Returns whether the device went idle on the way.
+    fn climb(&self, rung: &mut Rung, to: usize) -> Result<bool, TrialError> {
+        let ops = self.config.ops.len();
+        self.run_ops(rung, None, to.min(ops))?;
+        self.run_tail(rung, None, to.saturating_sub(ops) as u64)
+    }
+
+    /// Rung 0: a fresh same-seed device before the first op.
+    fn rung_zero(&self, record: bool) -> Rung {
+        let mut ssd = Ssd::new(self.config.ssd, DetRng::new(self.config.seed).fork("ssd"));
         if record {
             ssd.enable_site_recording();
         }
-        let mut issued: BTreeMap<u64, Vec<PageData>> = BTreeMap::new();
-        let mut events = 0u64;
-        let mut next_id = 0u64;
-        let mut flush_id = FLUSH_ID_BASE;
-
-        'ops: for op in &self.config.ops {
-            if Self::cut_reached(&ssd, cut) {
-                break 'ops;
-            }
-            match *op {
-                IoOp::Write { lba, sectors, tag } => {
-                    let sectors = sectors.max(1);
-                    let cmd = HostCommand::write(
-                        next_id,
-                        0,
-                        Lba::new(lba),
-                        SectorCount::new(sectors),
-                        tag,
-                    );
-                    for i in 0..sectors {
-                        issued
-                            .entry(lba + i)
-                            .or_default()
-                            .push(cmd.sector_content(i));
-                    }
-                    ssd.submit(cmd);
-                    let id = next_id;
-                    next_id += 1;
-                    if !self.wait_for(&mut ssd, cut, id, &mut events)? {
-                        break 'ops;
-                    }
-                }
-                IoOp::Trim { lba, sectors } => {
-                    ssd.trim(Lba::new(lba), SectorCount::new(sectors.max(1)));
-                }
-                IoOp::Flush => {
-                    flush_id += 1;
-                    ssd.submit_flush(flush_id, 0);
-                    if !self.wait_for(&mut ssd, cut, flush_id, &mut events)? {
-                        break 'ops;
-                    }
-                }
-            }
+        Rung {
+            ssd,
+            op: 0,
+            step: 0,
+            events: 0,
+            next_id: 0,
+            flush_id: FLUSH_ID_BASE,
         }
-
-        // Tail: background work (flushes, commits, checkpoints, GC) until
-        // the device goes idle or the cut arrives.
-        loop {
-            if Self::cut_reached(&ssd, cut) {
-                break;
-            }
-            self.check_budget(&ssd, &mut events)?;
-            match ssd.next_event() {
-                None => break,
-                Some(e) => {
-                    let target = e.max(ssd.now() + SimDuration::from_micros(1));
-                    let target = cut.map_or(target, |c| target.min(c));
-                    ssd.advance_to(target);
-                }
-            }
-        }
-
-        if let Some(t) = cut {
-            if ssd.now() < t {
-                // The cut falls in an idle gap: advance straight to it.
-                ssd.advance_to(t);
-            }
-            ssd.power_fail(&FaultTimeline::at_instant(t));
-        }
-        ssd.drain_completions();
-        Ok(Driven { ssd, issued })
     }
 
-    /// Advances until the completion for `id` arrives. Returns `false`
-    /// when the cut arrived first.
-    fn wait_for(
+    /// Resumes the workload from `rung` to `cut`: the remaining ops, then
+    /// background work (flushes, commits, checkpoints, GC). Submission
+    /// and event processing stop at the instant, the rail vanishes
+    /// ([`FaultTimeline::at_instant`]), and the dead device is returned
+    /// for recovery. Pre-cut event timing is identical to the census's
+    /// uncut climb, which is what makes recorded spans and boundaries
+    /// replayable.
+    fn drive(&self, mut rung: Rung, cut: SimTime) -> Result<Rung, TrialError> {
+        self.run_ops(&mut rung, Some(cut), self.config.ops.len())?;
+        self.run_tail(&mut rung, Some(cut), u64::MAX)?;
+        if rung.ssd.now() < cut {
+            // The cut falls in an idle gap: advance straight to it.
+            rung.ssd.advance_to(cut);
+        }
+        rung.ssd.power_fail(&FaultTimeline::at_instant(cut));
+        rung.ssd.drain_completions();
+        Ok(rung)
+    }
+
+    /// The op loop: submits ops from `rung.op` on, each waiting for its
+    /// completion, until op `stop` is next or the cut arrives.
+    fn run_ops(
         &self,
-        ssd: &mut Ssd,
+        rung: &mut Rung,
         cut: Option<SimTime>,
-        id: u64,
-        events: &mut u64,
+        stop: usize,
+    ) -> Result<(), TrialError> {
+        while rung.op < stop && !Self::cut_reached(&rung.ssd, cut) {
+            let op = self.config.ops[rung.op];
+            rung.op += 1;
+            match op {
+                IoOp::Write { lba, sectors, tag } => {
+                    let id = rung.next_id;
+                    rung.next_id += 1;
+                    rung.ssd.submit(HostCommand::write(
+                        id,
+                        0,
+                        Lba::new(lba),
+                        SectorCount::new(sectors.max(1)),
+                        tag,
+                    ));
+                    self.wait_for(rung, cut, id)?;
+                }
+                IoOp::Trim { lba, sectors } => {
+                    rung.ssd
+                        .trim(Lba::new(lba), SectorCount::new(sectors.max(1)));
+                }
+                IoOp::Flush => {
+                    rung.flush_id += 1;
+                    rung.ssd.submit_flush(rung.flush_id, 0);
+                    self.wait_for(rung, cut, rung.flush_id)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The tail loop: background work after the last op, one device
+    /// event per step, until step `stop` is next, the cut arrives, or the
+    /// device goes idle. Returns whether it went idle.
+    fn run_tail(
+        &self,
+        rung: &mut Rung,
+        cut: Option<SimTime>,
+        stop: u64,
     ) -> Result<bool, TrialError> {
-        loop {
-            self.check_budget(ssd, events)?;
-            if ssd.drain_completions().iter().any(|c| c.request_id == id) {
+        while rung.step < stop && !Self::cut_reached(&rung.ssd, cut) {
+            self.check_budget(rung)?;
+            let Some(e) = rung.ssd.next_event() else {
                 return Ok(true);
+            };
+            let target = e.max(rung.ssd.now() + SimDuration::from_micros(1));
+            let target = cut.map_or(target, |c| target.min(c));
+            rung.ssd.advance_to(target);
+            rung.step += 1;
+        }
+        Ok(false)
+    }
+
+    /// Advances until the completion for `id` arrives or the cut does.
+    fn wait_for(&self, rung: &mut Rung, cut: Option<SimTime>, id: u64) -> Result<(), TrialError> {
+        loop {
+            self.check_budget(rung)?;
+            if rung
+                .ssd
+                .drain_completions()
+                .iter()
+                .any(|c| c.request_id == id)
+                || Self::cut_reached(&rung.ssd, cut)
+            {
+                return Ok(());
             }
-            if Self::cut_reached(ssd, cut) {
-                return Ok(false);
-            }
-            let target = match ssd.next_event() {
-                Some(e) => e.max(ssd.now() + SimDuration::from_micros(1)),
-                None => ssd.now() + SimDuration::from_millis(1),
+            let target = match rung.ssd.next_event() {
+                Some(e) => e.max(rung.ssd.now() + SimDuration::from_micros(1)),
+                None => rung.ssd.now() + SimDuration::from_millis(1),
             };
             let target = cut.map_or(target, |c| target.min(c));
-            ssd.advance_to(target);
+            rung.ssd.advance_to(target);
         }
     }
 
@@ -699,13 +841,13 @@ impl Sweeper {
         cut.is_some_and(|c| ssd.now() >= c)
     }
 
-    fn check_budget(&self, ssd: &Ssd, events: &mut u64) -> Result<(), TrialError> {
-        *events += 1;
-        if *events > EVENT_BUDGET {
+    fn check_budget(&self, rung: &mut Rung) -> Result<(), TrialError> {
+        rung.events += 1;
+        if rung.events > EVENT_BUDGET {
             return Err(TrialError::WatchdogExpired {
                 seed: self.config.seed,
-                sim_time_us: ssd.now().as_micros(),
-                events: *events,
+                sim_time_us: rung.ssd.now().as_micros(),
+                events: rung.events,
             });
         }
         Ok(())
@@ -715,6 +857,46 @@ impl Sweeper {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The sweep without the ladder: every cut re-drives its whole op
+    /// prefix from rung 0, in canonical order.
+    fn run_cold(sweeper: &Sweeper) -> SweepReport {
+        let (spans, _) = sweeper.survey().unwrap();
+        let cuts = Sweeper::expand(&spans);
+        let issued = sweeper.issued();
+        let mut report = SweepReport {
+            sites_censused: spans.len(),
+            trials: cuts.len() as u64,
+            violations: Vec::new(),
+            failures: TrialFailures::default(),
+        };
+        for (index, cut) in cuts.iter().enumerate() {
+            let result = sweeper.run_trial(sweeper.rung_zero(false), cut.at, &issued);
+            report.file(index, cut, result);
+        }
+        report
+    }
+
+    /// Sweeps `config` with the ladder and with the cold reference,
+    /// asserts the reports are equal, and returns the report.
+    fn assert_ladder_matches_cold(config: SweepConfig) -> SweepReport {
+        let sweeper = Sweeper::new(config);
+        let ladder = sweeper.run().unwrap();
+        assert_eq!(ladder, run_cold(&sweeper), "seed {}", sweeper.config.seed);
+        ladder
+    }
+
+    /// Builds an op from four draws: 70 % writes, 20 % trims and 10 %
+    /// flushes over 32 extents of 8 sectors.
+    fn op_from(kind: u64, extent: u64, sectors: u64, tag: u64) -> IoOp {
+        let lba = extent * 8;
+        match kind {
+            0..=6 => IoOp::Write { lba, sectors, tag },
+            7 | 8 => IoOp::Trim { lba, sectors },
+            _ => IoOp::Flush,
+        }
+    }
 
     #[test]
     fn census_finds_commit_and_flush_sites() {
@@ -724,6 +906,47 @@ mod tests {
         assert!(spans
             .iter()
             .any(|s| s.site == FaultSite::JournalCommitProgram));
+    }
+
+    #[test]
+    fn boundaries_cover_every_op_and_tail_step() {
+        let sweeper = Sweeper::new(SweepConfig::smoke(7));
+        let (spans, boundaries) = sweeper.survey().unwrap();
+        let ops = sweeper.config.ops.len();
+        assert_eq!(boundaries[0], SimTime::ZERO);
+        assert!(boundaries.windows(2).all(|w| w[0] <= w[1]));
+        // Every tail step advances the clock.
+        assert!(boundaries[ops..].windows(2).all(|w| w[0] < w[1]));
+        // Some cuts land past the first tail step, so the equivalence
+        // tests on this seed climb the ladder through the tail.
+        assert!(spans.iter().any(|s| s.start > boundaries[ops + 1]));
+    }
+
+    #[test]
+    fn issued_versions_are_what_the_device_stores() {
+        let sweeper = Sweeper::new(SweepConfig::smoke(5));
+        let issued = sweeper.issued();
+        assert!(issued.windows(2).all(|w| w[0] < w[1]));
+        let mut rung = sweeper.rung_zero(false);
+        let mut to = 1;
+        while !sweeper.climb(&mut rung, to).unwrap() {
+            to += 1;
+        }
+        let mut written = 0;
+        for versions in issued.chunk_by(|a, b| a.0 == b.0) {
+            let (lba, last) = versions[versions.len() - 1];
+            match rung.ssd.verify_read(Lba::new(lba)) {
+                VerifiedContent::Written(data) => {
+                    assert_eq!(data, sweeper.issued_content(last, lba), "lba {lba}");
+                    written += 1;
+                }
+                other => assert_eq!(other, VerifiedContent::Unwritten, "lba {lba} (trimmed)"),
+            }
+        }
+        assert_eq!(
+            written, 10,
+            "sectors 0..8 and 128..130 hold their last write"
+        );
     }
 
     #[test]
@@ -758,6 +981,76 @@ mod tests {
         let a = Sweeper::new(SweepConfig::smoke(19)).run().unwrap();
         let b = Sweeper::new(SweepConfig::smoke(19)).run().unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn ladder_matches_cold_reference_on_smoke_seeds() {
+        for seed in [7, 11, 21] {
+            for verify in [true, false] {
+                let mut config = SweepConfig::smoke(seed);
+                config.ssd.ftl.verify_batch_crc = verify;
+                let report = assert_ladder_matches_cold(config);
+                assert!(report.trials > 0);
+            }
+        }
+    }
+
+    #[test]
+    fn ladder_matches_cold_reference_on_a_mixed_64_op_list() {
+        let mut rng = DetRng::new(64);
+        let ops: Vec<IoOp> = (0..64)
+            .map(|_| {
+                op_from(
+                    rng.below(10),
+                    rng.below(32),
+                    1 + rng.below(8),
+                    rng.next_u64(),
+                )
+            })
+            .collect();
+        assert!(ops.iter().any(|op| matches!(op, IoOp::Write { .. })));
+        assert!(ops.iter().any(|op| matches!(op, IoOp::Trim { .. })));
+        assert!(ops.iter().any(|op| matches!(op, IoOp::Flush)));
+        for verify in [true, false] {
+            let mut config = SweepConfig::smoke(64);
+            config.ssd.ftl.verify_batch_crc = verify;
+            config.ops = ops.clone();
+            assert_ladder_matches_cold(config);
+        }
+    }
+
+    #[test]
+    fn bricked_cuts_keep_canonical_indices_on_the_ledger() {
+        let mut config = SweepConfig::smoke(11);
+        config.ssd.mount_failure_rate = 0.5;
+        config.ssd.mount_retry_limit = 1;
+        let report = assert_ladder_matches_cold(config);
+        let ledger = &report.failures;
+        assert!(
+            ledger.total_failed() > 0,
+            "some cuts must brick: {ledger:?}"
+        );
+        assert!(
+            ledger.bricked.windows(2).all(|w| w[0] < w[1]),
+            "indices are canonical, not time order: {ledger:?}"
+        );
+    }
+
+    proptest! {
+        #[test]
+        fn ladder_matches_cold_reference_on_random_workloads(
+            seed: u64,
+            verify: bool,
+            draws in prop::collection::vec((0u64..10, 0u64..32, 1u64..=8, any::<u64>()), 1..12),
+        ) {
+            let mut config = SweepConfig::smoke(seed);
+            config.ssd.ftl.verify_batch_crc = verify;
+            config.ops = draws
+                .into_iter()
+                .map(|(kind, extent, sectors, tag)| op_from(kind, extent, sectors, tag))
+                .collect();
+            assert_ladder_matches_cold(config);
+        }
     }
 
     #[test]
