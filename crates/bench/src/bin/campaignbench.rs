@@ -285,7 +285,6 @@ fn main() -> ExitCode {
             "hits": final_cache.hits,
             "misses": final_cache.misses,
             "hit_rate": final_cache.hit_rate(),
-            "delta_images": final_cache.delta_images,
             "evictions": final_cache.evictions,
         }),
         "speedup": speedup,

@@ -18,17 +18,10 @@
 //! use pfault_platform::snapcache::SnapshotCache;
 //!
 //! let cache = SnapshotCache::builder()
-//!     .capacity(4)          // keep at most 4 configurations (FIFO)
-//!     .delta_chaining(true) // store derived images as deltas
+//!     .capacity(4) // keep at most 4 configurations (FIFO)
 //!     .build();
 //! # let _ = cache;
 //! ```
-//!
-//! With `delta_chaining` on, an inserted image that *evolved from* an
-//! already-cached one (sweep points sharing a warm prefix) is stored as
-//! [`pfault_ssd::DeviceImage::delta_from`] — one shared arena plus a
-//! small overlay of differing blocks — instead of a second flattened
-//! copy.
 //!
 //! Capture happens *while holding the lock* on purpose: concurrent
 //! workers asking for the same configuration then wait for the one
@@ -62,9 +55,6 @@ pub struct SnapshotCacheStats {
     pub entries: u64,
     /// Entries dropped by the FIFO capacity bound.
     pub evictions: u64,
-    /// Entries stored as deltas over an earlier image
-    /// (`delta_chaining` only).
-    pub delta_images: u64,
     /// Times a lock acquisition found the mutex poisoned by a panicked
     /// trial and recovered it.
     pub poison_recoveries: u64,
@@ -89,7 +79,6 @@ impl SnapshotCacheStats {
             misses: self.misses.saturating_sub(baseline.misses),
             entries: self.entries,
             evictions: self.evictions.saturating_sub(baseline.evictions),
-            delta_images: self.delta_images.saturating_sub(baseline.delta_images),
             poison_recoveries: self
                 .poison_recoveries
                 .saturating_sub(baseline.poison_recoveries),
@@ -164,7 +153,6 @@ impl Drop for StatsScope<'_> {
 #[derive(Debug, Clone)]
 pub struct SnapshotCacheBuilder {
     capacity: Option<usize>,
-    delta_chaining: bool,
 }
 
 impl SnapshotCacheBuilder {
@@ -176,27 +164,14 @@ impl SnapshotCacheBuilder {
         self
     }
 
-    /// Store an inserted image as a delta over an already-cached image
-    /// it evolved from, sharing one flash arena across the chain. Off
-    /// by default: campaign trials restore fastest from a flattened
-    /// image (empty overlay), so chaining is a memory-for-speed trade
-    /// meant for wide sweeps.
-    #[must_use]
-    pub fn delta_chaining(mut self, enabled: bool) -> Self {
-        self.delta_chaining = enabled;
-        self
-    }
-
     /// Builds the cache.
     pub fn build(self) -> SnapshotCache {
         SnapshotCache {
             state: Mutex::new(CacheState::default()),
             capacity: self.capacity,
-            delta_chaining: self.delta_chaining,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            delta_images: AtomicU64::new(0),
             poison_recoveries: AtomicU64::new(0),
             active_scopes: AtomicU64::new(0),
         }
@@ -206,7 +181,7 @@ impl SnapshotCacheBuilder {
 #[derive(Default)]
 struct CacheState {
     entries: HashMap<u64, Arc<DeviceImage>>,
-    /// Insertion order: FIFO eviction victims and delta-base candidates.
+    /// Insertion order: FIFO eviction victims.
     order: Vec<u64>,
     /// `(digest, was_hit)` per lookup, recorded only while at least one
     /// [`StatsScope`] is open (and cleared when the last one closes) —
@@ -218,11 +193,9 @@ struct CacheState {
 pub struct SnapshotCache {
     state: Mutex<CacheState>,
     capacity: Option<usize>,
-    delta_chaining: bool,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    delta_images: AtomicU64,
     poison_recoveries: AtomicU64,
     /// Open [`StatsScope`]s; lookups are journalled only while > 0.
     active_scopes: AtomicU64,
@@ -232,7 +205,6 @@ impl std::fmt::Debug for SnapshotCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SnapshotCache")
             .field("capacity", &self.capacity)
-            .field("delta_chaining", &self.delta_chaining)
             .field("stats", &self.stats())
             .finish()
     }
@@ -245,12 +217,9 @@ impl Default for SnapshotCache {
 }
 
 impl SnapshotCache {
-    /// Starts configuring a cache: unbounded, no delta chaining.
+    /// Starts configuring a cache: unbounded.
     pub fn builder() -> SnapshotCacheBuilder {
-        SnapshotCacheBuilder {
-            capacity: None,
-            delta_chaining: false,
-        }
+        SnapshotCacheBuilder { capacity: None }
     }
 
     /// Locks the state, recovering from a mutex poisoned by a panicked
@@ -283,14 +252,7 @@ impl SnapshotCache {
         if journalling {
             state.journal.push((digest, false));
         }
-        let image = build();
-        let stored = match self.delta_base_for(&state, &image) {
-            Some(delta) => {
-                self.delta_images.fetch_add(1, Ordering::Relaxed);
-                Arc::new(delta)
-            }
-            None => Arc::new(image),
-        };
+        let stored = Arc::new(build());
         state.entries.insert(digest, Arc::clone(&stored));
         state.order.push(digest);
         if let Some(cap) = self.capacity {
@@ -301,22 +263,6 @@ impl SnapshotCache {
             }
         }
         stored
-    }
-
-    /// With `delta_chaining` on, finds the newest cached image `image`
-    /// can be re-expressed against and returns the delta (images that
-    /// share no history reject the rebase, so probing an unrelated
-    /// candidate costs one prefix comparison).
-    fn delta_base_for(&self, state: &CacheState, image: &DeviceImage) -> Option<DeviceImage> {
-        if !self.delta_chaining {
-            return None;
-        }
-        state
-            .order
-            .iter()
-            .rev()
-            .filter_map(|d| state.entries.get(d))
-            .find_map(|base| image.delta_from(base))
     }
 
     /// The warm image for this platform's configuration, running the
@@ -335,7 +281,6 @@ impl SnapshotCache {
             misses: self.misses.load(Ordering::Relaxed),
             entries,
             evictions: self.evictions.load(Ordering::Relaxed),
-            delta_images: self.delta_images.load(Ordering::Relaxed),
             poison_recoveries: self.poison_recoveries.load(Ordering::Relaxed),
         }
     }
@@ -363,15 +308,13 @@ impl SnapshotCache {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.evictions.store(0, Ordering::Relaxed);
-        self.delta_images.store(0, Ordering::Relaxed);
         self.poison_recoveries.store(0, Ordering::Relaxed);
     }
 }
 
 static GLOBAL: OnceLock<SnapshotCache> = OnceLock::new();
 
-/// The process-wide cache the campaign engines share: unbounded, no
-/// delta chaining (flattened images restore fastest).
+/// The process-wide cache the campaign engines share: unbounded.
 pub fn global() -> &'static SnapshotCache {
     GLOBAL.get_or_init(SnapshotCache::default)
 }
@@ -453,48 +396,6 @@ mod tests {
         let after = cache.stats();
         assert_eq!(after.hits, before.hits + 1);
         assert_eq!(after.misses, before.misses + 1);
-    }
-
-    #[test]
-    fn delta_chaining_stores_derived_images_as_deltas() {
-        use pfault_ssd::device::HostCommand;
-        use pfault_sim::{Lba, SectorCount, SimDuration};
-
-        let cache = SnapshotCache::builder().delta_chaining(true).build();
-        let platform = warm_platform(20);
-        let base = cache.warm_image_for(&platform);
-
-        // A "later sweep point": more work on a clone of the base.
-        let derived = cache.image_for(base.config_digest() ^ 1, || {
-            let mut ssd = base.clone_cow();
-            for i in 0..4 {
-                ssd.submit(HostCommand::write(
-                    500 + i,
-                    0,
-                    Lba::new(4096 + i * 8),
-                    SectorCount::new(8),
-                    0x5EED + i,
-                ));
-                ssd.advance_to(ssd.now() + SimDuration::from_millis(2));
-                ssd.drain_completions();
-            }
-            ssd.quiesce();
-            let digest = ssd.state_digest();
-            let image = ssd.capture(base.config_digest() ^ 1);
-            assert_eq!(image.fingerprint(), digest);
-            image
-        });
-        assert!(
-            derived.shares_base_with(&base),
-            "a derived image must be chained onto the base arena"
-        );
-        assert!(derived.overlay_blocks() > 0);
-        assert_eq!(cache.stats().delta_images, 1);
-
-        // An unrelated config cannot chain and stays flattened.
-        let other = cache.warm_image_for(&warm_platform(21));
-        assert_eq!(other.overlay_blocks(), 0);
-        assert_eq!(cache.stats().delta_images, 1);
     }
 
     #[test]

@@ -152,12 +152,6 @@ impl BlockArena {
     pub fn iter(&self) -> impl Iterator<Item = (u64, &BlockMeta, &[PageState])> + '_ {
         (0..self.len()).map(move |s| (self.ids[s], &self.meta[s], self.pages(s)))
     }
-
-    /// Whether the block in `slot` is byte-identical to `(meta, pages)` —
-    /// used by delta re-basing to find unchanged blocks.
-    pub fn block_equals(&self, slot: usize, meta: &BlockMeta, pages: &[PageState]) -> bool {
-        self.meta[slot] == *meta && self.pages(slot) == pages
-    }
 }
 
 #[cfg(test)]
@@ -206,7 +200,8 @@ mod tests {
 
         let mut dst = BlockArena::new(2);
         let slot = dst.push_copy(4, *src.meta(0), src.pages(0));
-        assert!(dst.block_equals(slot, src.meta(0), src.pages(0)));
+        assert_eq!(dst.meta(slot), src.meta(0));
+        assert_eq!(dst.pages(slot), src.pages(0));
         // Mutating the copy leaves the source untouched.
         dst.meta_mut(slot).state = BlockState::NeedsErase;
         assert_eq!(src.meta(0).state, BlockState::Open);

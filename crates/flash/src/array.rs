@@ -646,54 +646,6 @@ impl FlashArray {
         self.base.is_some() && self.local.is_empty()
     }
 
-    /// Re-expresses this **flattened** array as `base`'s frozen image plus
-    /// an overlay holding only the blocks that differ — the delta-snapshot
-    /// representation for sweep points sharing a warm prefix.
-    ///
-    /// Requires both arrays flattened and this array to be a *descendant*
-    /// of `base`: `base`'s materialisation order must be a prefix of this
-    /// array's (true whenever this state was evolved from `base` by
-    /// running more work, since blocks only ever append). That condition
-    /// keeps scan order — and hence recovery RNG draws — bit-identical.
-    /// Returns `false` and leaves the array untouched when it does not
-    /// hold; callers then simply keep the full image.
-    pub fn rebase_onto(&mut self, base: &FlashArray) -> bool {
-        if self.geometry != base.geometry {
-            return false; // slot indexing would not line up
-        }
-        if !self.is_flattened() || !base.is_flattened() {
-            return false;
-        }
-        let mine = self.base.clone().expect("flattened");
-        let theirs = base.base.clone().expect("flattened");
-        if theirs.len() > mine.len() {
-            return false;
-        }
-        for s in 0..theirs.len() {
-            if mine.id_at(s) != theirs.id_at(s) {
-                return false;
-            }
-        }
-        let mut overlay = BlockArena::new(self.geometry.pages_per_block());
-        let mut fresh = 0usize;
-        for s in 0..mine.len() {
-            let id = mine.id_at(s);
-            if s < theirs.len() {
-                if theirs.block_equals(s, mine.meta(s), mine.pages(s)) {
-                    continue;
-                }
-                overlay.push_copy(id, *mine.meta(s), mine.pages(s));
-            } else {
-                overlay.push_copy(id, *mine.meta(s), mine.pages(s));
-                fresh += 1;
-            }
-        }
-        self.base = Some(theirs);
-        self.local = overlay;
-        self.overlay_new = fresh;
-        true
-    }
-
     /// Order-independent digest of the array's durable state: every
     /// materialised block's wear and read-disturb counters plus the
     /// content descriptor, OOB record, and raw bit-error count of each
@@ -1239,63 +1191,5 @@ mod tests {
         let _ = clone.read(Ppa::new(6, 0), &mut rng);
         assert_eq!(clone.overlay_blocks(), 1);
         assert_eq!(clone.touched_blocks(), warm.touched_blocks());
-    }
-
-    #[test]
-    fn rebase_onto_builds_a_minimal_overlay() {
-        let (mut base, mut rng) = warm_array();
-        base.flatten();
-        // Evolve a descendant: touch one old block, add one new block.
-        let mut evolved = base.clone();
-        evolved
-            .program(
-                Ppa::new(2, 4),
-                PageData::from_tag(55),
-                Oob::user(Lba::new(20), 50),
-            )
-            .unwrap();
-        evolved
-            .program(
-                Ppa::new(5, 0),
-                PageData::from_tag(56),
-                Oob::user(Lba::new(21), 51),
-            )
-            .unwrap();
-        evolved.flatten();
-        let digest = evolved.state_digest();
-        let scan: Vec<_> = evolved.scan().collect();
-
-        let mut delta = evolved.clone();
-        assert!(delta.rebase_onto(&base));
-        assert!(delta.shares_base_with(&base));
-        // Only the changed block and the new block sit in the overlay.
-        assert_eq!(delta.overlay_blocks(), 2);
-        assert_eq!(delta.state_digest(), digest);
-        assert_eq!(delta.scan().collect::<Vec<_>>(), scan);
-        assert_eq!(delta.touched_blocks(), evolved.touched_blocks());
-        // And the delta keeps behaving identically.
-        let mut rng_b = rng.clone();
-        let mut full = evolved.clone();
-        drive_identically(&mut delta, &mut full, &mut rng, &mut rng_b);
-    }
-
-    #[test]
-    fn rebase_onto_rejects_non_descendants() {
-        let (mut base, _) = warm_array();
-        base.flatten();
-        // A stranger array with a different materialisation order.
-        let mut stranger = mlc_array();
-        stranger
-            .program(
-                Ppa::new(5, 0),
-                PageData::from_tag(1),
-                Oob::user(Lba::new(0), 1),
-            )
-            .unwrap();
-        stranger.flatten();
-        let digest = stranger.state_digest();
-        let mut s = stranger.clone();
-        assert!(!s.rebase_onto(&base));
-        assert_eq!(s.state_digest(), digest, "failed rebase must not mutate");
     }
 }

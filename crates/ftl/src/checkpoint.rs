@@ -48,7 +48,7 @@ impl Checkpoint {
 
     /// Rebuilds a mapping table from this snapshot.
     pub fn restore(&self) -> MappingTable {
-        let mut map = MappingTable::with_capacity(self.entries.len());
+        let mut map = MappingTable::new();
         for &(lba, ppa) in &self.entries {
             map.update(lba, ppa);
         }

@@ -346,6 +346,13 @@ impl Ftl {
         self.alloc.available() < self.config.gc_low_water_blocks
     }
 
+    /// Freezes the mapping table ([`MappingTable::freeze`]): clones of
+    /// this FTL then share its stripes, copying only those they write.
+    /// Behaviour is unchanged.
+    pub fn freeze_map(&mut self) {
+        self.map.freeze();
+    }
+
     /// Picks the full block with the fewest valid pages and lists the live
     /// sectors that must be relocated. Returns `None` if no full block is
     /// reclaimable.

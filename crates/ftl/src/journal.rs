@@ -12,6 +12,8 @@
 //! a power fault is exactly the set that reverts to stale mappings — the
 //! "data loss after request completion" population of §IV-A.
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 use pfault_flash::geometry::Ppa;
@@ -367,9 +369,26 @@ impl DurableBatch {
 /// flash page backs it, so recovery can verify the page is still readable,
 /// and the CRC the device stored with it, so recovery can detect torn
 /// (partially-programmed) batches.
+///
+/// The log is append-only, so a replay of its first `n` records never
+/// goes stale. [`DurableLog::freeze`] (called when a device is captured
+/// into an image) stores that replay as a frozen replay memo, and
+/// every clone of the log shares it: recovery that accepts the whole
+/// memoized prefix starts from the memo instead of replaying it again.
 #[derive(Debug, Clone, Default)]
 pub struct DurableLog {
     batches: Vec<DurableBatch>,
+    memo: Option<Arc<ReplayMemo>>,
+}
+
+/// The mapping an empty table reaches by applying the log's first
+/// `batches` records in commit order, frozen so clones share its stripes.
+#[derive(Debug)]
+pub(crate) struct ReplayMemo {
+    /// Length of the memoized prefix, in records.
+    pub(crate) batches: usize,
+    /// The replayed (frozen) table.
+    pub(crate) table: MappingTable,
 }
 
 impl DurableLog {
@@ -394,8 +413,12 @@ impl DurableLog {
         self.append_with_crc(page, full.torn_prefix(kept_sectors), full.crc());
     }
 
+    /// # Panics
+    ///
+    /// Panics if batch ids are not strictly increasing: recovery's
+    /// checkpoint skip and the replay memo's prefix both rely on it.
     fn append_with_crc(&mut self, page: Ppa, batch: JournalBatch, stored_crc: u32) {
-        debug_assert!(
+        assert!(
             self.batches.last().is_none_or(|d| d.batch.id < batch.id),
             "batch ids must be monotonic"
         );
@@ -425,6 +448,41 @@ impl DurableLog {
     /// Whether the log is empty.
     pub fn is_empty(&self) -> bool {
         self.batches.is_empty()
+    }
+
+    /// Freezes the replay of every record so far into the log's replay
+    /// memo. A log that already carries a memo (a clone of a captured
+    /// device's log) extends it by the records appended since, sharing
+    /// the stripes those records did not touch. Replay applies each
+    /// record's surviving entries exactly as recovery does; whether
+    /// recovery may start from the memo is decided per mount.
+    pub fn freeze(&mut self, pages_per_block: u64) {
+        let (mut table, from) = match self.memo.as_deref() {
+            Some(memo) if memo.batches == self.batches.len() => return,
+            Some(memo) => (memo.table.clone(), memo.batches),
+            None if self.batches.is_empty() => return,
+            None => (MappingTable::new(), 0),
+        };
+        for record in &self.batches[from..] {
+            record.batch.apply_to(&mut table, pages_per_block);
+        }
+        table.freeze();
+        self.memo = Some(Arc::new(ReplayMemo {
+            batches: self.batches.len(),
+            table,
+        }));
+    }
+
+    /// The replay memo, if `accepted` — batches recovery accepted from a
+    /// contiguous run of this log — starts at the first record and covers
+    /// the whole memoized prefix. Ids strictly increase, so the run starts
+    /// at record 0 exactly when its entry at the memo's last index carries
+    /// that record's id.
+    pub(crate) fn memo_covering(&self, accepted: &[JournalBatch]) -> Option<&ReplayMemo> {
+        let memo = self.memo.as_deref()?;
+        let last = memo.batches - 1;
+        let covered = accepted.get(last)?.id == self.batches[last].batch.id;
+        covered.then_some(memo)
     }
 }
 
@@ -564,6 +622,21 @@ mod tests {
         let ids: Vec<u64> = log.iter().map(|(_, b)| b.id).collect();
         assert_eq!(ids, vec![1, 2]);
         assert_eq!(log.iter().nth(1).unwrap().1.coverage(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "batch ids must be monotonic")]
+    fn durable_log_rejects_out_of_order_ids() {
+        let mut log = DurableLog::new();
+        for id in [2, 1] {
+            log.append(
+                Ppa::new(9, id),
+                JournalBatch {
+                    id,
+                    entries: vec![],
+                },
+            );
+        }
     }
 
     #[test]

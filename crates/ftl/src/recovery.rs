@@ -11,7 +11,9 @@
 //!    to a [`JournalScanOutcome`] across a power cut models firmware that
 //!    checkpoints its recovery progress at a stage boundary.
 //! 2. [`mapping_rebuild`] — apply the accepted batches over the
-//!    checkpoint base, reconcile with the
+//!    checkpoint base (starting from the log's frozen replay memo when
+//!    the base is empty and the batches cover the memoized prefix),
+//!    reconcile with the
 //!    [`RecoveryPolicy::FullScan`] OOB sweep when configured, and
 //!    rebuild the allocator high-water mark into a ready [`Ftl`].
 //!
@@ -28,7 +30,7 @@ use pfault_sim::{DetRng, Lba};
 use crate::checkpoint::CheckpointStore;
 use crate::config::{FtlConfig, RecoveryPolicy};
 use crate::ftl::{Ftl, RecoveryStats};
-use crate::journal::{DurableLog, JournalBatch};
+use crate::journal::{DurableLog, JournalBatch, ReplayMemo};
 use crate::mapping::MappingTable;
 
 /// What the journal-scan stage decided: the checkpoint base to rebuild
@@ -120,6 +122,15 @@ pub fn journal_scan(
 /// Borrows the scan outcome: an interrupted rebuild retries against the
 /// same checkpointed scan, so the caller keeps ownership and the rebuild
 /// copies only the mapping base it mutates.
+///
+/// When no checkpoint base was restored (the base is empty) and the
+/// accepted batches cover the prefix `durable` froze into its replay
+/// memo ([`DurableLog::freeze`]), the rebuild starts from the memo and
+/// applies only the batches after it. Anything else — a restored
+/// checkpoint, or a prefix cut short by an unreadable page or a
+/// discarded torn batch — replays every accepted batch. Both paths build
+/// the same table, and [`RecoveryStats`] counts every accepted batch
+/// either way, so the modelled rebuild time does not depend on the memo.
 pub fn mapping_rebuild(
     config: FtlConfig,
     array: &mut FlashArray,
@@ -128,14 +139,17 @@ pub fn mapping_rebuild(
     scan: &JournalScanOutcome,
     rng: &mut DetRng,
 ) -> (Ftl, RecoveryStats) {
-    let mut map = scan.map.clone();
     let batches = &scan.batches;
-    let mut stats = scan.stats;
-    for batch in batches {
+    let (mut map, memoized) = match usable_memo(durable, scan) {
+        Some(memo) => (memo.table.clone(), memo.batches),
+        None => (scan.map.clone(), 0),
+    };
+    for batch in &batches[memoized..] {
         batch.apply_to(&mut map, config.geometry.pages_per_block());
-        stats.batches_replayed += 1;
-        stats.entries_replayed += batch.entries.len() as u64;
     }
+    let mut stats = scan.stats;
+    stats.batches_replayed += batches.len() as u64;
+    stats.entries_replayed += batches.iter().map(|b| b.entries.len() as u64).sum::<u64>();
     if config.recovery_policy == RecoveryPolicy::FullScan {
         // OOB scan: adopt the newest readable user page per sector.
         // Pages must actually decode (the scan reads them back), so
@@ -185,9 +199,20 @@ pub fn mapping_rebuild(
     (ftl, stats)
 }
 
+/// The replay memo [`mapping_rebuild`] may start from: only over an
+/// empty base, and only when the accepted batches cover its prefix.
+fn usable_memo<'a>(durable: &'a DurableLog, scan: &JournalScanOutcome) -> Option<&'a ReplayMemo> {
+    if scan.map.is_empty() {
+        durable.memo_covering(&scan.batches)
+    } else {
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::Checkpoint;
     use pfault_flash::array::PageData;
     use pfault_flash::geometry::FlashGeometry;
     use pfault_flash::oob::Oob;
@@ -306,5 +331,262 @@ mod tests {
         );
         assert_eq!(scan.batches.len(), 2, "unreadable third batch dropped");
         assert_eq!(scan.stats.batches_truncated, 1);
+    }
+
+    /// One device history recorded into two logs: `plain` is never
+    /// frozen, `frozen` carries a replay memo from wherever the test
+    /// calls [`History::freeze`].
+    struct History {
+        array: FlashArray,
+        ftl: Ftl,
+        plain: DurableLog,
+        frozen: DurableLog,
+        store: CheckpointStore,
+    }
+
+    impl History {
+        fn new() -> Self {
+            let (array, ftl, plain, _) = setup();
+            History {
+                array,
+                ftl,
+                frozen: plain.clone(),
+                plain,
+                store: CheckpointStore::new(),
+            }
+        }
+
+        /// Writes sectors without committing their mappings.
+        fn write(&mut self, lbas: &[u64], tag: u64) {
+            for &lba in lbas {
+                let slot = self.ftl.begin_user_write(Lba::new(lba)).unwrap();
+                self.array
+                    .program(
+                        slot.ppa,
+                        PageData::from_tag(tag ^ lba),
+                        Oob::user(Lba::new(lba), slot.seq),
+                    )
+                    .unwrap();
+                self.ftl.finish_user_write(&slot);
+            }
+        }
+
+        /// Batch `b`: a two-sector extent low in the LBA space (batches
+        /// overwrite each other there) and a point several stripes out,
+        /// committed to both logs. `tear` persists only that many
+        /// sectors of the batch.
+        fn commit(&mut self, b: u64, tear: Option<u64>) {
+            let low = b % 4 * 8;
+            let far = 3 * crate::mapping::STRIPE_SECTORS + b * 70_001;
+            self.write(&[low, low + 1, far], b);
+            self.ftl.close_open_extent();
+            let op = self
+                .ftl
+                .begin_journal_commit()
+                .unwrap()
+                .expect("committable");
+            self.array
+                .program(
+                    op.page,
+                    PageData::from_tag(op.batch.id),
+                    Oob::journal(op.batch.id, op.seq),
+                )
+                .unwrap();
+            for log in [&mut self.plain, &mut self.frozen] {
+                match tear {
+                    None => log.append(op.page, op.batch.clone()),
+                    Some(kept) => log.append_torn(op.page, &op.batch, kept),
+                }
+            }
+        }
+
+        fn commits(&mut self, batches: std::ops::Range<u64>) {
+            for b in batches {
+                self.commit(b, None);
+            }
+        }
+
+        fn checkpoint(&mut self) -> Ppa {
+            let op = self.ftl.begin_checkpoint().unwrap();
+            self.array
+                .program(
+                    op.page,
+                    PageData::from_tag(op.checkpoint.id),
+                    Oob::checkpoint(op.checkpoint.id, op.seq),
+                )
+                .unwrap();
+            let page = op.page;
+            self.ftl.finish_checkpoint(op, &mut self.store);
+            page
+        }
+
+        fn freeze(&mut self) {
+            let ppb = self.ftl.config().geometry.pages_per_block();
+            self.frozen.freeze(ppb);
+        }
+
+        fn destroy(&mut self, page: Ppa) {
+            self.array.interrupt_program(page, 0.0, &mut DetRng::new(1));
+        }
+
+        /// Recovers from both logs on identical arrays and RNG streams
+        /// and asserts that everything recovery produces is equal: map
+        /// contents, FTL state, stats, RNG position and flash stats.
+        /// Returns the stats and whether the frozen log's memo was used.
+        fn recover_both(&self, config: FtlConfig) -> (RecoveryStats, bool) {
+            let run = |durable: &DurableLog| {
+                let mut array = self.array.clone();
+                let mut rng = DetRng::new(7);
+                let scan = journal_scan(&config, &mut array, durable, &self.store, &mut rng);
+                let used = usable_memo(durable, &scan).is_some();
+                let (ftl, stats) =
+                    mapping_rebuild(config, &mut array, durable, &self.store, &scan, &mut rng);
+                let mut map: Vec<_> = ftl.iter_mapped().collect();
+                map.sort();
+                let flash = array.stats();
+                (map, ftl.state_digest(), stats, rng.next_u64(), flash, used)
+            };
+            let plain = run(&self.plain);
+            let frozen = run(&self.frozen);
+            assert!(!plain.5, "a log that was never frozen has no memo");
+            assert!(!plain.0.is_empty());
+            assert_eq!(plain.0, frozen.0, "map contents");
+            assert_eq!(plain.1, frozen.1, "FTL state digest");
+            assert_eq!(plain.2, frozen.2, "recovery stats");
+            assert_eq!(plain.3, frozen.3, "RNG position");
+            assert_eq!(plain.4, frozen.4, "flash stats");
+            (frozen.2, frozen.5)
+        }
+    }
+
+    fn default_config() -> FtlConfig {
+        *History::new().ftl.config()
+    }
+
+    #[test]
+    fn memo_replaces_replay_of_a_clean_log() {
+        let mut h = History::new();
+        h.commits(0..8);
+        h.freeze();
+        let (stats, used) = h.recover_both(default_config());
+        assert!(used);
+        assert_eq!(stats.batches_replayed, 8, "stats still count the prefix");
+    }
+
+    #[test]
+    fn memo_is_extended_by_the_batches_after_it() {
+        let mut h = History::new();
+        h.commits(0..5);
+        h.freeze();
+        h.commits(5..9);
+        let (stats, used) = h.recover_both(default_config());
+        assert!(used);
+        assert_eq!(stats.batches_replayed, 9);
+    }
+
+    #[test]
+    fn unreadable_page_inside_the_prefix_skips_the_memo() {
+        let mut h = History::new();
+        h.commits(0..8);
+        h.freeze();
+        let third = h.plain.iter().nth(2).unwrap().0;
+        h.destroy(third);
+        let (stats, used) = h.recover_both(default_config());
+        assert!(!used);
+        assert_eq!(stats.batches_truncated, 6);
+    }
+
+    #[test]
+    fn torn_prefix_batch_skips_the_memo_only_when_verified() {
+        let mut h = History::new();
+        h.commits(0..3);
+        h.commit(3, Some(1));
+        h.commits(4..7);
+        h.freeze();
+        let mut strict = default_config();
+        strict.verify_batch_crc = true;
+        let (stats, used) = h.recover_both(strict);
+        assert!(!used, "the verified scan stops at the tear");
+        assert_eq!(stats.batches_discarded_torn, 1);
+        // Half-applying firmware accepts the torn prefix, as the memo did.
+        let (stats, used) = h.recover_both(default_config());
+        assert!(used);
+        assert_eq!(stats.batches_replayed, 7);
+    }
+
+    #[test]
+    fn restored_checkpoint_skips_the_memo() {
+        let mut h = History::new();
+        h.commits(0..4);
+        let page = h.checkpoint();
+        h.commits(4..8);
+        h.freeze();
+        let (stats, used) = h.recover_both(default_config());
+        assert!(!used);
+        assert!(stats.checkpoint_restored);
+        // With the checkpoint destroyed the base is empty again.
+        h.destroy(page);
+        let (stats, used) = h.recover_both(default_config());
+        assert!(used);
+        assert_eq!(stats.checkpoints_unreadable, 1);
+    }
+
+    #[test]
+    fn checkpoint_before_the_first_batch_skips_the_memo() {
+        // A checkpoint that folds in no batch still holds mappings: the
+        // accepted batches start at record 0, but over a non-empty base.
+        let mut h = History::new();
+        let op = h.ftl.begin_checkpoint().unwrap();
+        h.array
+            .program(op.page, PageData::from_tag(1), Oob::checkpoint(0, op.seq))
+            .unwrap();
+        let only_in_checkpoint = (Lba::new(123_456), Ppa::new(40, 0));
+        h.store.append(
+            op.page,
+            Checkpoint {
+                id: 0,
+                last_batch: None,
+                entries: vec![only_in_checkpoint],
+            },
+        );
+        h.commits(0..6);
+        h.freeze();
+        let (stats, used) = h.recover_both(default_config());
+        assert!(!used);
+        assert!(stats.checkpoint_restored);
+        assert_eq!(stats.batches_replayed, 6);
+    }
+
+    #[test]
+    fn full_scan_reconciles_over_the_memo() {
+        let mut h = History::new();
+        h.commits(0..6);
+        h.freeze();
+        h.write(&[2, 9, 5 * crate::mapping::STRIPE_SECTORS], 0xF00);
+        let mut config = default_config();
+        config.recovery_policy = RecoveryPolicy::FullScan;
+        let (stats, used) = h.recover_both(config);
+        assert!(used);
+        assert!(stats.scan_adoptions > 0);
+    }
+
+    #[test]
+    fn capture_of_a_clone_extends_the_memo() {
+        let mut h = History::new();
+        h.commits(0..4);
+        h.freeze();
+        let image_log = h.frozen.clone();
+        h.commits(4..8);
+        h.freeze();
+        let (stats, used) = h.recover_both(default_config());
+        assert!(used);
+        assert_eq!(stats.batches_replayed, 8);
+        // The image's own memo is untouched by its clone's capture.
+        let mut array = h.array.clone();
+        let mut rng = DetRng::new(7);
+        let config = default_config();
+        let scan = journal_scan(&config, &mut array, &image_log, &h.store, &mut rng);
+        assert_eq!(scan.batches.len(), 4);
+        assert!(usable_memo(&image_log, &scan).is_some_and(|m| m.batches == 4));
     }
 }

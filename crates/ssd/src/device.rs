@@ -612,18 +612,17 @@ impl Ssd {
         mix64(h, state_tag)
     }
 
-    /// Freezes the flash arena into a shared immutable base
-    /// ([`pfault_flash::array::FlashArray::flatten`]), after which
-    /// cloning this device shares the NAND state copy-on-write.
-    pub(crate) fn freeze_flash(&mut self) {
+    /// Freezes the device's bulky state for copy-on-write cloning: the
+    /// flash arena becomes a shared immutable base
+    /// ([`pfault_flash::array::FlashArray::flatten`]), the mapping
+    /// table's stripes go behind `Arc`s ([`Ftl::freeze_map`]), and the
+    /// durable log stores the frozen replay of its records
+    /// ([`DurableLog::freeze`]). Observable state is unchanged.
+    pub(crate) fn freeze(&mut self) {
         self.array.flatten();
-    }
-
-    /// Re-expresses this device's (frozen) flash state as a delta over
-    /// `base`'s arena. See
-    /// [`pfault_flash::array::FlashArray::rebase_onto`].
-    pub(crate) fn rebase_flash_onto(&mut self, base: &Ssd) -> bool {
-        self.array.rebase_onto(&base.array)
+        self.ftl.freeze_map();
+        self.durable
+            .freeze(self.config.ftl.geometry.pages_per_block());
     }
 
     /// Blocks materialised in this device's private copy-on-write

@@ -8,21 +8,24 @@
 //!
 //! # Image anatomy
 //!
-//! [`Ssd::capture`] *freezes* the device's flash arena
-//! ([`pfault_flash::array::FlashArray::flatten`]): every materialised
-//! block moves into one shared, immutable, `Arc`-refcounted slab.
-//! `clone_cow` then copies the (small) FTL/cache/queue state and bumps
-//! the arena refcount — no NAND bytes move. The clone starts with an
-//! empty *overlay*; the first write (or disturb-counting read) to a
-//! block copies just that block up into the clone's private overlay.
-//! Restoring a trial is therefore "drop the overlay, clone again",
-//! and its cost scales with the trial's working set, not the device.
+//! [`Ssd::capture`] *freezes* the device's bulky state. The flash arena
+//! is flattened ([`pfault_flash::array::FlashArray::flatten`]): every
+//! materialised block moves into one shared, immutable,
+//! `Arc`-refcounted slab. The mapping table's LBA stripes go behind
+//! `Arc`s ([`pfault_ftl::mapping::MappingTable::freeze`]), and the
+//! durable journal stores the frozen replay of its records
+//! ([`pfault_ftl::DurableLog::freeze`]), which recovery starts from
+//! instead of replaying the warm-up's batches again.
 //!
-//! [`DeviceImage::delta_from`] goes one step further for sweeps whose
-//! points share a warm prefix: an image that *evolved from* another
-//! image is re-expressed as that base plus an overlay holding only the
-//! blocks that differ, so a family of sweep-point images shares one
-//! arena instead of `N` flattened copies.
+//! `clone_cow` then copies the remaining FTL/cache/queue state — the
+//! journal records, the allocator, per-block valid counts — and bumps
+//! the shared refcounts; no NAND bytes or mapping stripes move. The
+//! clone starts with an empty *overlay*; the first write (or
+//! disturb-counting read) to a block copies just that block up into the
+//! clone's private overlay, and the first write to a mapping stripe
+//! copies just that stripe. Restoring a trial is therefore "drop the
+//! overlay, clone again", and its cost scales with the trial's working
+//! set, not the device.
 //!
 //! # Determinism contract
 //!
@@ -68,18 +71,19 @@ impl Ssd {
     /// it, so a memoizing cache can never hand an image to a mismatched
     /// trial.
     ///
-    /// Capture consumes the device: the flash arena is flattened into
-    /// the shared immutable base the image's clones will reference.
-    /// Flattening is content-preserving — the image's
+    /// Capture consumes the device: the flash arena, the mapping table
+    /// and the journal's replay memo are frozen into the shared immutable
+    /// state the image's clones will reference. Freezing is
+    /// content-preserving — the image's
     /// [`fingerprint`](DeviceImage::fingerprint) equals the device's
     /// [`state_digest`](Ssd::state_digest) at the call.
     pub fn capture(mut self, config_digest: u64) -> DeviceImage {
         let fingerprint = self.state_digest();
-        self.freeze_flash();
+        self.freeze();
         debug_assert_eq!(
             self.state_digest(),
             fingerprint,
-            "flatten must preserve observable state"
+            "freezing must preserve observable state"
         );
         DeviceImage {
             ssd: self,
@@ -91,38 +95,12 @@ impl Ssd {
 
 impl DeviceImage {
     /// A private copy-on-write clone of the captured device. The clone
-    /// shares the image's flash arena and materialises only the blocks
-    /// it touches; cloning never mutates the image, so any number of
+    /// shares the image's flash arena, mapping-table stripes and
+    /// journal-replay memo, and copies a block or stripe only when it
+    /// touches it; cloning never mutates the image, so any number of
     /// trials can clone concurrently from a shared image.
     pub fn clone_cow(&self) -> Ssd {
         self.ssd.clone()
-    }
-
-    /// Re-expresses this image as a delta over `base`: the returned
-    /// image is behaviourally identical to `self` but shares `base`'s
-    /// arena, holding only the blocks that differ (plus blocks `self`
-    /// touched that `base` never did) in a private overlay.
-    ///
-    /// Returns `None` when `self` cannot ride `base`'s arena: the flash
-    /// geometries differ, `base` materialised more blocks than `self`,
-    /// or the arenas' materialisation orders disagree on their common
-    /// prefix. The prefix agrees exactly when `self` was built by
-    /// running more work on a clone of `base` (sweep points sharing a
-    /// warm prefix) — though same-geometry devices whose deterministic
-    /// allocators happened to materialise the same block-id prefix also
-    /// rebase, safely: any content difference lands in the overlay.
-    /// Delta images cannot be re-deltaed; use the original flattened
-    /// image as the rebase source.
-    pub fn delta_from(&self, base: &DeviceImage) -> Option<DeviceImage> {
-        let mut ssd = self.ssd.clone();
-        if !ssd.rebase_flash_onto(&base.ssd) {
-            return None;
-        }
-        Some(DeviceImage {
-            ssd,
-            config_digest: self.config_digest,
-            fingerprint: self.fingerprint,
-        })
     }
 
     /// The configuration digest the image was captured under.
@@ -139,19 +117,6 @@ impl DeviceImage {
     /// The simulated time at which the warm-up finished.
     pub fn warm_now(&self) -> SimTime {
         self.ssd.now()
-    }
-
-    /// Blocks this image holds privately on top of its shared arena:
-    /// `0` for a freshly captured (flattened) image, the delta size for
-    /// an image produced by [`DeviceImage::delta_from`].
-    pub fn overlay_blocks(&self) -> usize {
-        self.ssd.flash_overlay_blocks()
-    }
-
-    /// Whether two images share one flash arena (`Arc` identity).
-    /// `true` for an image and its [`DeviceImage::delta_from`] result.
-    pub fn shares_base_with(&self, other: &DeviceImage) -> bool {
-        self.ssd.shares_flash_base_with(&other.ssd)
     }
 }
 
@@ -187,7 +152,11 @@ mod tests {
         assert_eq!(image.fingerprint(), digest);
         assert_eq!(image.clone_cow().state_digest(), digest);
         assert_eq!(image.config_digest(), 42);
-        assert_eq!(image.overlay_blocks(), 0, "fresh images are flattened");
+        assert_eq!(
+            image.clone_cow().flash_overlay_blocks(),
+            0,
+            "fresh images are flattened"
+        );
     }
 
     #[test]
@@ -246,90 +215,5 @@ mod tests {
             "the write must land in the clone's private overlay"
         );
         assert_eq!(image.clone_cow().state_digest(), before);
-    }
-
-    #[test]
-    fn delta_from_shares_the_base_arena() {
-        let base = warmed_ssd().capture(7);
-        // Evolve a clone into a "later sweep point" and capture it.
-        let mut later = base.clone_cow();
-        for i in 0..8 {
-            later.submit(HostCommand::write(
-                300 + i,
-                0,
-                Lba::new(1024 + i * 8),
-                SectorCount::new(8),
-                0xA5A5 + i,
-            ));
-            later.advance_to(later.now() + pfault_sim::SimDuration::from_millis(2));
-            later.drain_completions();
-        }
-        later.quiesce();
-        let digest = later.state_digest();
-        let full = later.capture(7);
-        assert!(!full.shares_base_with(&base), "capture reflattens");
-
-        let delta = full.delta_from(&base).expect("evolved from base");
-        assert!(delta.shares_base_with(&base), "delta rides the base arena");
-        assert!(
-            delta.overlay_blocks() > 0 && delta.overlay_blocks() < 40,
-            "delta holds only the touched blocks: {}",
-            delta.overlay_blocks()
-        );
-        assert_eq!(delta.fingerprint(), full.fingerprint());
-        assert_eq!(delta.clone_cow().state_digest(), digest);
-
-        // Clones of the delta and of the full image are byte-equivalent.
-        let mut from_full = full.clone_cow();
-        let mut from_delta = delta.clone_cow();
-        for ssd in [&mut from_full, &mut from_delta] {
-            ssd.reseed_for_trial(5);
-            ssd.submit(HostCommand::write(
-                400,
-                0,
-                Lba::new(0),
-                SectorCount::new(16),
-                0xC0DE,
-            ));
-            ssd.advance_to(ssd.now() + pfault_sim::SimDuration::from_millis(5));
-        }
-        assert_eq!(from_full.state_digest(), from_delta.state_digest());
-        assert_eq!(from_full.drain_completions(), from_delta.drain_completions());
-    }
-
-    #[test]
-    fn delta_from_rejects_incompatible_images() {
-        let a = warmed_ssd().capture(1);
-
-        // A different flash geometry can never share an arena: slot
-        // indexing would not line up.
-        let mut config = VendorPreset::SsdB.config();
-        config.geometry = pfault_flash::FlashGeometry::new(512, 64);
-        config.ftl = pfault_ftl::FtlConfig::for_geometry(config.geometry);
-        let mut other = Ssd::new(config, DetRng::new(10));
-        other.submit(HostCommand::write(
-            0,
-            0,
-            Lba::new(9000),
-            SectorCount::new(8),
-            0x1111,
-        ));
-        other.advance_to(SimTime::from_millis(50));
-        other.quiesce();
-        let b = other.capture(2);
-        assert!(b.delta_from(&a).is_none(), "geometry mismatch must not rebase");
-        assert!(a.delta_from(&b).is_none(), "rejection is symmetric");
-
-        // A delta image is not flattened, so it cannot serve as a rebase
-        // source or target a second time.
-        let mut later = a.clone_cow();
-        later.submit(HostCommand::write(1, 0, Lba::new(0), SectorCount::new(8), 0x2222));
-        later.advance_to(later.now() + pfault_sim::SimDuration::from_millis(5));
-        later.quiesce();
-        let delta = later.capture(1).delta_from(&a).expect("evolved from a");
-        assert!(
-            delta.delta_from(&a).is_none(),
-            "delta images cannot be re-deltaed"
-        );
     }
 }
