@@ -43,16 +43,16 @@
 #                  the rows that moved, unless all are byte-identical
 #   make golden-update — rewrites golden/digests.tsv after an intended
 #                  model change (show its diff in the change description)
-#   make bench   — campaign engine benchmark; rewrites BENCH_campaign.json
-#   make bench-smoke — CI-sized campaign bench: copy-on-write cloning
-#                  must be ≥2x replay-from-cold (both paths sped up
-#                  together — see campaignbench.rs) and all engines
-#                  byte-identical
+#   make pfbench-smoke — one short pass of the repo benchmark over every
+#                  workload (writes no result file); its campaign set-up
+#                  checks serial and stealing reports byte-identical, and
+#                  building it proves pflayers compiles against the
+#                  platform API
 #   make check   — everything CI runs
 
 CARGO ?= cargo
 
-.PHONY: all build test lint lint-core lint-workspace sweep-smoke obs-smoke recovery-smoke fleet-smoke kv-smoke serve-smoke plan-smoke golden golden-update bench bench-smoke check clean
+.PHONY: all build test lint lint-core lint-workspace sweep-smoke obs-smoke recovery-smoke fleet-smoke kv-smoke serve-smoke plan-smoke golden golden-update pfbench-smoke check clean
 
 all: check
 
@@ -132,18 +132,6 @@ kv-smoke: build
 	cmp target/kv-a.json target/kv-b.json
 	$(CARGO) test -q -p pfault-kv --lib seeded_silent_poison_reproduces
 
-# Campaign engine v2 benchmark: image-clone vs replay-from-cold
-# trials/sec, engine byte-equality, scheduler utilization. `bench`
-# regenerates the committed BENCH_campaign.json; `bench-smoke` is the
-# CI-sized self-checking variant (exits non-zero unless the CoW-clone
-# speedup reaches 2x and serial/striped/stealing reports are
-# byte-identical — see crates/bench/src/bin/campaignbench.rs).
-bench: build
-	./target/release/campaignbench --out BENCH_campaign.json
-
-bench-smoke: build
-	./target/release/campaignbench --smoke --out target/bench-smoke.json
-
 # Self-checking: the serve experiment spins up real daemons on loopback
 # sockets and exits non-zero unless every durability and backpressure
 # property held (see crates/serve/src/selfcheck.rs).
@@ -169,7 +157,13 @@ golden: build
 golden-update: build
 	bash golden/check.sh --update
 
-check: build lint test sweep-smoke obs-smoke recovery-smoke fleet-smoke kv-smoke serve-smoke plan-smoke golden bench-smoke
+# The standalone benchmark package (benchmark/): `smoke` runs every
+# workload once at CI size and exits non-zero if a run fails or the
+# engines' reports differ.
+pfbench-smoke:
+	$(CARGO) run --release --offline --quiet --manifest-path benchmark/Cargo.toml --bin pfbench -- smoke
+
+check: build lint test sweep-smoke obs-smoke recovery-smoke fleet-smoke kv-smoke serve-smoke plan-smoke golden pfbench-smoke
 
 clean:
 	$(CARGO) clean

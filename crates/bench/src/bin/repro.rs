@@ -8,7 +8,7 @@
 //!       [--retries N] [--checkpoint FILE]
 //!       [--checkpoint-every K] [--resume] [--watchdog-ms N]
 //!       [--watchdog-events N] [--threads N]
-//!       [--engine auto|serial|striped|stealing] [--warmup N]
+//!       [--engine auto|serial|stealing] [--warmup N]
 //!       [--snapshot-cache on|off]
 //! repro serve [--addr A] [--spool DIR] [--workers N] [--queue N]
 //!       [--heartbeat-ms N] [--io-timeout-ms N] [--checkpoint-every K]
@@ -118,7 +118,7 @@ fn main() -> ExitCode {
                 match EngineArg::parse(&v) {
                     Some(e) => opts.engine = e,
                     None => {
-                        eprintln!("unknown engine '{v}' (auto|serial|striped|stealing)");
+                        eprintln!("unknown engine '{v}' (auto|serial|stealing)");
                         return ExitCode::FAILURE;
                     }
                 }
@@ -168,7 +168,7 @@ fn main() -> ExitCode {
                      \x20     [--checkpoint FILE] [--checkpoint-every K]\n\
                      \x20     [--resume] [--watchdog-ms N] [--watchdog-events N]\n\
                      \x20     [--minimize] [--inject-crc-bug] [--metrics FILE] [--trace FILE]\n\
-                     \x20     [--threads N] [--engine auto|serial|striped|stealing] \
+                     \x20     [--threads N] [--engine auto|serial|stealing] \
                      [--warmup N] [--snapshot-cache on|off]\n\
                      experiments: fig4 interval interval-nocache fig5 fig6 pattern \
                      fig7 fig8 fig9 table1 ablation-injector ablation-cache \

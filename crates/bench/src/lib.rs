@@ -1,13 +1,11 @@
 //! Shared helpers for the benchmark harness.
 //!
-//! The `repro` binary regenerates every table and figure of the paper;
-//! the Criterion benches under `benches/` time the same experiment
-//! kernels. Both use the experiment runners from
-//! [`pfault_platform::experiments`].
+//! The `repro` binary regenerates every table and figure of the paper
+//! with the experiment runners from [`pfault_platform::experiments`].
 
 use pfault_platform::experiments::ExperimentScale;
 
-/// Scales selectable from the command line / bench environment.
+/// Scales selectable from the command line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScaleArg {
     /// CI-sized (tens of faults per point).
@@ -36,18 +34,8 @@ impl ScaleArg {
 }
 
 /// The default seed used by the harness (reports in EXPERIMENTS.md use
-/// this).
+/// this): the paper's arXiv date.
 pub const DEFAULT_SEED: u64 = 20180429;
-
-/// A micro scale for Criterion benches: each iteration runs a short but
-/// complete fault-injection campaign.
-pub fn bench_scale() -> ExperimentScale {
-    ExperimentScale {
-        faults_per_point: 3,
-        requests_per_trial: 25,
-        threads: 1,
-    }
-} // the paper's arXiv date
 
 #[cfg(test)]
 mod tests {

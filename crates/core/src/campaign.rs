@@ -3,13 +3,14 @@
 //! The paper's experiments each inject hundreds of faults ("more than 300
 //! power faults … during 24,000 requests"). A [`Campaign`] runs one trial
 //! per fault with an independent derived seed and aggregates the
-//! [`FailureCounts`] into a [`CampaignReport`]. Trials are independent,
-//! so the engine can distribute them: [`Campaign::run_parallel`] stripes
-//! trial indices over a fixed thread count, and [`Campaign::run_stealing`]
-//! schedules chunked batches over work-stealing workers
-//! ([`crate::scheduler`]). Every engine reduces results in canonical
-//! trial-index order, so serial, striped, and work-stealing runs of the
-//! same seed produce **byte-identical** reports.
+//! [`FailureCounts`] into a [`CampaignReport`]. There are two trial
+//! loops: the serial one ([`Campaign::run`], the only one that
+//! checkpoints, pauses, and resumes) and the work-stealing one
+//! ([`Campaign::run_stealing`]), which schedules chunked batches over
+//! worker threads ([`crate::scheduler`]). Both run fixed-N campaigns and
+//! planner-driven rounds alike, and both reduce results in canonical
+//! trial-index order, so serial and work-stealing runs of the same seed
+//! produce **byte-identical** reports.
 //!
 //! With [`TrialConfig::warmup_requests`] set, trials start from a shared
 //! warm device state. The warm-up is run once per configuration, frozen
@@ -23,7 +24,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 use pfault_obs::Metrics;
 use pfault_sim::checksum::fnv64;
@@ -237,9 +238,18 @@ impl CampaignReport {
         self.failures.record(index, error);
     }
 
-    /// Absorbs one trial result exactly as the serial loop does; every
-    /// engine funnels results through this in canonical index order.
-    fn absorb_result(&mut self, index: u64, result: Result<TrialOutcome, TrialError>, retries: u64) {
+    /// Absorbs one trial result and tallies its failure bit into the
+    /// planner state, if any. Both engines funnel results through this
+    /// in canonical index order.
+    fn absorb_result(
+        &mut self,
+        index: u64,
+        result: Result<TrialOutcome, TrialError>,
+        retries: u64,
+    ) {
+        if let Some(state) = self.plan.as_mut() {
+            state.absorb(0, trial_failed(&result));
+        }
         self.failures.retries += retries;
         match result {
             Ok(outcome) => self.absorb(&outcome),
@@ -349,8 +359,7 @@ pub struct ObservedRun {
     pub paused: bool,
 }
 
-/// A campaign runner. Construct via [`Campaign::builder`] (or the
-/// [`Campaign::new`] shorthand for a default single-threaded campaign).
+/// A campaign runner. Construct via [`Campaign::builder`].
 #[derive(Debug, Clone)]
 pub struct Campaign {
     config: CampaignConfig,
@@ -378,10 +387,9 @@ struct CheckpointSpec {
 /// config.requests_per_trial = 10;
 /// let campaign = Campaign::builder(config)
 ///     .seed(42)
-///     .threads(2)
 ///     .snapshot_cache(true)
 ///     .build();
-/// let report = campaign.run_auto().expect("campaign runs");
+/// let report = campaign.run_stealing(2);
 /// assert_eq!(report.faults, 2);
 /// ```
 #[derive(Debug, Clone)]
@@ -410,15 +418,6 @@ impl CampaignBuilder {
         self
     }
 
-    /// Pre-plan sizing API, kept for one release of compatibility.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use .plan(PlanSpec::fixed(n)); the Plan API is the single way campaigns are sized"
-    )]
-    #[must_use]
-    pub fn trials(self, n: usize) -> Self {
-        self.plan(PlanSpec::fixed(n as u64))
-    }
     /// Seeds every trial (defaults to 0).
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
@@ -426,7 +425,7 @@ impl CampaignBuilder {
         self
     }
 
-    /// Worker threads for [`Campaign::run_auto`] (default 1 = serial;
+    /// Worker threads for [`Campaign::run_planned`] (default 1 = serial;
     /// clamped to ≥ 1). The thread count never changes the report — only
     /// how fast it is produced.
     #[must_use]
@@ -435,16 +434,19 @@ impl CampaignBuilder {
         self
     }
 
-    /// Retries each failing trial up to `retries` extra attempts (see
-    /// [`Campaign::with_retries`]).
+    /// Retries each failing trial up to `retries` extra attempts, each
+    /// with a deterministically derived fresh seed. The first attempt
+    /// always uses the original trial seed, so a campaign with zero
+    /// failures is unaffected by this setting.
     #[must_use]
     pub fn retries(mut self, retries: u32) -> Self {
         self.retries = retries;
         self
     }
 
-    /// Writes a resumable JSON checkpoint (see
-    /// [`Campaign::with_checkpoint`]).
+    /// Writes a resumable JSON checkpoint to `path` after every `every`
+    /// completed trials (serial runs only; `every` is clamped to ≥ 1).
+    /// The write is atomic: a temp file is renamed over `path`.
     #[must_use]
     pub fn checkpoint(mut self, path: impl Into<PathBuf>, every: u64) -> Self {
         self.checkpoint = Some(CheckpointSpec {
@@ -494,37 +496,6 @@ impl Campaign {
         }
     }
 
-    /// Creates a campaign; `seed` determines every trial. Shorthand for
-    /// `Campaign::builder(config).seed(seed).build()`.
-    pub fn new(config: CampaignConfig, seed: u64) -> Self {
-        Campaign::builder(config).seed(seed).build()
-    }
-
-    /// The configured worker-thread count ([`CampaignBuilder::threads`]).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Retries each failing trial up to `retries` extra attempts, each
-    /// with a deterministically derived fresh seed. The first attempt
-    /// always uses the original trial seed, so a campaign with zero
-    /// failures is unaffected by this setting.
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
-        self
-    }
-
-    /// Writes a resumable JSON checkpoint to `path` after every `every`
-    /// completed trials (serial runs only; `every` is clamped to ≥ 1).
-    /// The write is atomic: a temp file is renamed over `path`.
-    pub fn with_checkpoint(mut self, path: impl Into<PathBuf>, every: u64) -> Self {
-        self.checkpoint = Some(CheckpointSpec {
-            path: path.into(),
-            every: every.max(1),
-        });
-        self
-    }
-
     fn trial_config(&self) -> TrialConfig {
         let mut t = self.config.trial;
         t.requests = self.config.requests_per_trial;
@@ -559,10 +530,9 @@ impl Campaign {
     /// The effective sizing spec: the explicit plan, or fixed-N from
     /// the config's trial count.
     pub fn plan_spec(&self) -> PlanSpec {
-        self.plan
-            .unwrap_or(PlanSpec::Fixed {
-                trials: self.config.trials as u64,
-            })
+        self.plan.unwrap_or(PlanSpec::Fixed {
+            trials: self.config.trials as u64,
+        })
     }
 
     /// The memoized warm image for this campaign, if image cloning
@@ -608,22 +578,18 @@ impl Campaign {
         }
     }
 
-    /// Runs trials `start..trials` serially, absorbing into `report`.
-    fn run_range(
-        &self,
-        report: CampaignReport,
-        start: u64,
-    ) -> Result<CampaignReport, PlatformError> {
-        let run = self.run_range_observed(report, start, &mut |_| ProgressSignal::Continue)?;
-        Ok(run.report)
-    }
-
-    /// The serial trial loop with an observer in it: after every trial
-    /// the observer sees the absorbed prefix and may pause the campaign.
-    /// Boundary checkpoints are written *before* the observer runs; a
-    /// pause mid-stride checkpoints the current prefix (when configured)
-    /// so nothing completed is ever lost.
-    fn run_range_observed(
+    /// The serial trial loop. A planned report runs to the planner's
+    /// current round target and lets the planner extend or finish the
+    /// run at each boundary; a plan-less report is one round of
+    /// `trials`. After every trial the observer sees the absorbed
+    /// prefix and may pause the campaign. Boundary checkpoints are
+    /// written *before* the observer runs; a pause mid-stride
+    /// checkpoints the current prefix (when configured) so nothing
+    /// completed is ever lost. Both the planner's decisions and the
+    /// per-trial failure bits are pure functions of the absorbed
+    /// prefix, so pausing anywhere — even mid-round — and resuming is
+    /// byte-identical to never pausing.
+    fn run_serial(
         &self,
         mut report: CampaignReport,
         start: u64,
@@ -632,24 +598,43 @@ impl Campaign {
         let platform = TestPlatform::new(self.trial_config());
         let image = self.campaign_image(&platform);
         let trials = self.config.trials as u64;
-        for i in start..trials {
-            let (result, retries_used) = self.run_one(&platform, image.as_deref(), i);
-            report.absorb_result(i, result, retries_used);
-            let completed = i + 1;
+        let mut completed = start;
+        loop {
+            match report.plan.as_mut() {
+                Some(state) if state.done => break,
+                Some(state) if completed >= state.targets[0] => {
+                    state.advance()?;
+                    continue;
+                }
+                None if completed >= trials => break,
+                _ => {}
+            }
+            let (result, retries_used) = self.run_one(&platform, image.as_deref(), completed);
+            report.absorb_result(completed, result, retries_used);
+            completed += 1;
+            let (done, trials_now) = match report.plan.as_mut() {
+                Some(state) => {
+                    if state.round_complete() {
+                        state.advance()?;
+                    }
+                    (state.done, state.targets[0].max(completed))
+                }
+                None => (completed >= trials, trials),
+            };
             let mut checkpointed = false;
             if let Some(spec) = &self.checkpoint {
-                if completed % spec.every == 0 && completed < trials {
+                if completed.is_multiple_of(spec.every) && !done {
                     self.write_checkpoint(spec, completed, &report)?;
                     checkpointed = true;
                 }
             }
             let signal = observer(CampaignProgress {
                 completed,
-                trials,
+                trials: trials_now,
                 checkpointed,
                 report: &report,
             });
-            if signal == ProgressSignal::Pause && completed < trials {
+            if signal == ProgressSignal::Pause && !done {
                 if let Some(spec) = &self.checkpoint {
                     if !checkpointed {
                         self.write_checkpoint(spec, completed, &report)?;
@@ -664,9 +649,51 @@ impl Campaign {
         }
         Ok(ObservedRun {
             report,
-            completed: trials,
+            completed,
             paused: false,
         })
+    }
+
+    /// The work-stealing loop: each planner round (a plan-less report is
+    /// one round of `trials`) runs over [`scheduler::run_work_stealing`],
+    /// which folds results in canonical index order, so the report is
+    /// byte-identical to [`Campaign::run_serial`]'s. Returns the
+    /// scheduler stats of the last round. Never checkpoints.
+    fn run_rounds_stealing(
+        &self,
+        mut report: CampaignReport,
+        threads: usize,
+    ) -> Result<(CampaignReport, SchedulerStats), PlatformError> {
+        let platform = TestPlatform::new(self.trial_config());
+        let image = self.campaign_image(&platform);
+        let mut completed = 0u64;
+        loop {
+            let target = report
+                .plan
+                .as_ref()
+                .map_or(self.config.trials as u64, |state| state.targets[0]);
+            let (next, stats) = scheduler::run_work_stealing(
+                target.saturating_sub(completed),
+                threads.max(1),
+                scheduler::DEFAULT_CHUNK,
+                |i| self.run_one(&platform, image.as_deref(), completed + i),
+                report,
+                |report, i, (result, retries_used)| {
+                    report.absorb_result(completed + i, result, retries_used);
+                },
+            );
+            report = next;
+            completed = target;
+            match report.plan.as_mut() {
+                Some(state) => {
+                    state.advance()?;
+                    if state.done {
+                        return Ok((report, stats));
+                    }
+                }
+                None => return Ok((report, stats)),
+            }
+        }
     }
 
     fn write_checkpoint(
@@ -702,22 +729,23 @@ impl Campaign {
 
     /// Runs all trials serially. Trials that panic, exceed the watchdog
     /// budget, or brick the device are retried per
-    /// [`Campaign::with_retries`] and, if still failing, recorded in
+    /// [`CampaignBuilder::retries`] and, if still failing, recorded in
     /// [`CampaignReport::failures`] — the campaign itself keeps going.
     /// Errors only on checkpoint IO problems.
     pub fn run_checked(&self) -> Result<CampaignReport, PlatformError> {
-        self.run_range(CampaignReport::empty(), 0)
+        Ok(self.run_observed(&mut |_| ProgressSignal::Continue)?.report)
     }
 
     /// Resumes a serial run from a checkpoint written by
-    /// [`Campaign::with_checkpoint`]. The checkpoint must match this
+    /// [`CampaignBuilder::checkpoint`]. The checkpoint must match this
     /// campaign's seed, trial count, and configuration; the completed
     /// prefix is taken from the snapshot and the remaining trials run
     /// normally, so the final report is identical to an uninterrupted
     /// [`Campaign::run_checked`].
     pub fn resume_from(&self, path: impl AsRef<Path>) -> Result<CampaignReport, PlatformError> {
-        let snapshot = self.load_checkpoint(path.as_ref())?;
-        self.run_range(snapshot.report, snapshot.completed)
+        Ok(self
+            .resume_observed(path, &mut |_| ProgressSignal::Continue)?
+            .report)
     }
 
     /// Reads and validates a checkpoint written by this campaign.
@@ -754,7 +782,7 @@ impl Campaign {
         &self,
         observer: &mut dyn FnMut(CampaignProgress<'_>) -> ProgressSignal,
     ) -> Result<ObservedRun, PlatformError> {
-        self.run_range_observed(CampaignReport::empty(), 0, observer)
+        self.run_serial(CampaignReport::empty(), 0, observer)
     }
 
     /// [`Campaign::resume_from`] with a per-trial observer (see
@@ -766,7 +794,7 @@ impl Campaign {
         observer: &mut dyn FnMut(CampaignProgress<'_>) -> ProgressSignal,
     ) -> Result<ObservedRun, PlatformError> {
         let snapshot = self.load_checkpoint(path.as_ref())?;
-        self.run_range_observed(snapshot.report, snapshot.completed, observer)
+        self.run_serial(snapshot.report, snapshot.completed, observer)
     }
 
     /// Trials already absorbed by the checkpoint at `path`, without
@@ -787,46 +815,12 @@ impl Campaign {
         Ok((snapshot.completed, snapshot.report))
     }
 
-    /// Runs all trials across `threads` worker threads with static
-    /// striping (worker *w* takes trials `w, w+T, w+2T, …`). `0` is
-    /// treated as `1` and the count is capped at the trial count — extra
-    /// threads would only spin. Results are reduced in canonical trial
-    /// order, so the report is **byte-identical** to [`Campaign::run`].
-    /// Checkpointing is serial-only and ignored here.
-    pub fn run_parallel(&self, threads: usize) -> CampaignReport {
-        let trials = self.config.trials as u64;
-        let threads = (threads.max(1) as u64).min(trials.max(1)) as usize;
-        let platform = TestPlatform::new(self.trial_config());
-        let image = self.campaign_image(&platform);
-        let (tx, rx) = mpsc::channel::<(u64, Result<TrialOutcome, TrialError>, u64)>();
-        let mut report = CampaignReport::empty();
-        std::thread::scope(|scope| {
-            for worker in 0..threads as u64 {
-                let tx = tx.clone();
-                let platform = &platform;
-                let image = image.as_deref();
-                scope.spawn(move || {
-                    let mut i = worker;
-                    while i < trials {
-                        let (result, retries_used) = self.run_one(platform, image, i);
-                        if tx.send((i, result, retries_used)).is_err() {
-                            return; // receiver gone: run torn down
-                        }
-                        i += threads as u64;
-                    }
-                });
-            }
-            drop(tx);
-            report = reduce_in_order(&rx);
-        });
-        report
-    }
-
     /// Runs all trials over work-stealing workers ([`crate::scheduler`]):
     /// trial batches start on a shared injector, idle workers steal half
     /// of a victim's queue, so skewed trial costs (retries, recovery
-    /// storms) no longer leave threads idle at the tail. Byte-identical
-    /// to [`Campaign::run`] and [`Campaign::run_parallel`].
+    /// storms) never leave threads idle at the tail. `0` threads is
+    /// treated as `1`, and the pool is capped at the trial count.
+    /// Byte-identical to [`Campaign::run`]; checkpoints are not written.
     pub fn run_stealing(&self, threads: usize) -> CampaignReport {
         self.run_stealing_with_stats(threads).0
     }
@@ -836,35 +830,18 @@ impl Campaign {
     /// are wall-clock-dependent and live outside the report so reports
     /// stay engine-independent.
     pub fn run_stealing_with_stats(&self, threads: usize) -> (CampaignReport, SchedulerStats) {
-        let trials = self.config.trials as u64;
-        let platform = TestPlatform::new(self.trial_config());
-        let image = self.campaign_image(&platform);
-        scheduler::run_work_stealing(
-            trials,
-            threads.max(1),
-            scheduler::DEFAULT_CHUNK,
-            |i| self.run_one(&platform, image.as_deref(), i),
-            CampaignReport::empty(),
-            |report, i, (result, retries_used)| {
-                report.absorb_result(i, result, retries_used);
-            },
-        )
-    }
-
-    /// Runs with the configured thread count
-    /// ([`CampaignBuilder::threads`]): serial for 1 (honouring
-    /// checkpoints), work-stealing otherwise. Same report either way.
-    pub fn run_auto(&self) -> Result<CampaignReport, PlatformError> {
-        if self.threads <= 1 {
-            self.run_checked()
-        } else {
-            Ok(self.run_stealing(self.threads))
+        match self.run_rounds_stealing(CampaignReport::empty(), threads) {
+            Ok(run) => run,
+            // Only a planner decision can fail, and a plan-less report
+            // takes none.
+            Err(e) => unreachable!("plan-less campaign failed: {e}"),
         }
     }
 
-    /// Validates the plan spec for whole-campaign execution and builds
-    /// the initial single-stratum planner state.
-    fn planned_state(&self) -> Result<PlanState, PlatformError> {
+    /// A fresh report carrying the initial single-stratum planner
+    /// state, after validating the plan spec for whole-campaign
+    /// execution.
+    fn planned_report(&self) -> Result<CampaignReport, PlatformError> {
         let spec = self.plan_spec();
         if matches!(spec, PlanSpec::Splitting { .. }) {
             return Err(PlatformError::InvalidConfig(
@@ -873,7 +850,9 @@ impl Campaign {
                     .to_string(),
             ));
         }
-        PlanState::single(spec)
+        let mut report = CampaignReport::empty();
+        report.plan = Some(PlanState::single(spec)?);
+        Ok(report)
     }
 
     /// Runs the campaign under its [`PlanSpec`]: trials proceed in
@@ -884,46 +863,14 @@ impl Campaign {
     /// the work-stealing scheduler, byte-identically. The returned
     /// report carries the planner state in [`CampaignReport::plan`].
     pub fn run_planned(&self) -> Result<CampaignReport, PlatformError> {
+        let report = self.planned_report()?;
         if self.threads <= 1 {
-            return Ok(self
-                .run_planned_observed(&mut |_| ProgressSignal::Continue)?
-                .report);
+            Ok(self
+                .run_serial(report, 0, &mut |_| ProgressSignal::Continue)?
+                .report)
+        } else {
+            Ok(self.run_rounds_stealing(report, self.threads)?.0)
         }
-        let mut report = CampaignReport::empty();
-        report.plan = Some(self.planned_state()?);
-        let platform = TestPlatform::new(self.trial_config());
-        let image = self.campaign_image(&platform);
-        let mut completed = 0u64;
-        loop {
-            let Some(state) = &report.plan else {
-                unreachable!("planned run always seeds report.plan");
-            };
-            if state.done {
-                break;
-            }
-            let target = state.targets[0];
-            let batch = target.saturating_sub(completed);
-            let (results, _stats) = scheduler::run_work_stealing(
-                batch,
-                self.threads,
-                scheduler::DEFAULT_CHUNK,
-                |i| self.run_one(&platform, image.as_deref(), completed + i),
-                Vec::with_capacity(batch as usize),
-                |acc: &mut Vec<(Result<TrialOutcome, TrialError>, u64)>, _i, r| acc.push(r),
-            );
-            for (offset, (result, retries_used)) in results.into_iter().enumerate() {
-                let failed = trial_failed(&result);
-                report.absorb_result(completed + offset as u64, result, retries_used);
-                if let Some(state) = report.plan.as_mut() {
-                    state.absorb(0, failed);
-                }
-            }
-            completed = target;
-            if let Some(state) = report.plan.as_mut() {
-                state.advance()?;
-            }
-        }
-        Ok(report)
     }
 
     /// [`Campaign::run_planned`] with a per-trial observer — the serial
@@ -935,9 +882,7 @@ impl Campaign {
         &self,
         observer: &mut dyn FnMut(CampaignProgress<'_>) -> ProgressSignal,
     ) -> Result<ObservedRun, PlatformError> {
-        let mut report = CampaignReport::empty();
-        report.plan = Some(self.planned_state()?);
-        self.run_planned_range_observed(report, 0, observer)
+        self.run_serial(self.planned_report()?, 0, observer)
     }
 
     /// Resumes a planned run from a v6 checkpoint: the planner state
@@ -949,7 +894,7 @@ impl Campaign {
         path: impl AsRef<Path>,
         observer: &mut dyn FnMut(CampaignProgress<'_>) -> ProgressSignal,
     ) -> Result<ObservedRun, PlatformError> {
-        self.planned_state()?; // reject invalid specs before touching disk
+        self.planned_report()?; // reject invalid specs before touching disk
         let snapshot = self.load_checkpoint(path.as_ref())?;
         if snapshot.report.plan.is_none() {
             return Err(CheckpointError::Corrupt(
@@ -957,84 +902,7 @@ impl Campaign {
             )
             .into());
         }
-        self.run_planned_range_observed(snapshot.report, snapshot.completed, observer)
-    }
-
-    /// The planned serial loop: run to the current round target, let
-    /// the planner extend or finish the run at each boundary. Both the
-    /// boundary decisions and the per-trial failure bits are pure
-    /// functions of the absorbed prefix, so pausing anywhere — even
-    /// mid-round — and resuming is byte-identical to never pausing.
-    fn run_planned_range_observed(
-        &self,
-        mut report: CampaignReport,
-        start: u64,
-        observer: &mut dyn FnMut(CampaignProgress<'_>) -> ProgressSignal,
-    ) -> Result<ObservedRun, PlatformError> {
-        let platform = TestPlatform::new(self.trial_config());
-        let image = self.campaign_image(&platform);
-        let mut completed = start;
-        loop {
-            let Some(state) = &report.plan else {
-                return Err(PlatformError::InvalidConfig(
-                    "planned loop requires report.plan".to_string(),
-                ));
-            };
-            if state.done {
-                break;
-            }
-            let target = state.targets[0];
-            if completed >= target {
-                if let Some(state) = report.plan.as_mut() {
-                    state.advance()?;
-                }
-                continue;
-            }
-            let (result, retries_used) = self.run_one(&platform, image.as_deref(), completed);
-            let failed = trial_failed(&result);
-            report.absorb_result(completed, result, retries_used);
-            if let Some(state) = report.plan.as_mut() {
-                state.absorb(0, failed);
-                if state.round_complete() {
-                    state.advance()?;
-                }
-            }
-            completed += 1;
-            let (done, trials_now) = match &report.plan {
-                Some(state) => (state.done, state.targets[0].max(completed)),
-                None => (true, completed),
-            };
-            let mut checkpointed = false;
-            if let Some(spec) = &self.checkpoint {
-                if completed.is_multiple_of(spec.every) && !done {
-                    self.write_checkpoint(spec, completed, &report)?;
-                    checkpointed = true;
-                }
-            }
-            let signal = observer(CampaignProgress {
-                completed,
-                trials: trials_now,
-                checkpointed,
-                report: &report,
-            });
-            if signal == ProgressSignal::Pause && !done {
-                if let Some(spec) = &self.checkpoint {
-                    if !checkpointed {
-                        self.write_checkpoint(spec, completed, &report)?;
-                    }
-                }
-                return Ok(ObservedRun {
-                    report,
-                    completed,
-                    paused: true,
-                });
-            }
-        }
-        Ok(ObservedRun {
-            report,
-            completed,
-            paused: false,
-        })
+        self.run_serial(snapshot.report, snapshot.completed, observer)
     }
 }
 
@@ -1046,28 +914,6 @@ fn trial_failed(result: &Result<TrialOutcome, TrialError>) -> bool {
         Ok(outcome) => outcome.counts.total_data_loss() > 0,
         Err(_) => true,
     }
-}
-
-/// Absorbs `(index, result, retries)` triples in canonical index order:
-/// a reorder buffer holds early arrivals until the gap fills, so the
-/// accumulator sees exactly the serial absorb sequence.
-fn reduce_in_order(
-    rx: &mpsc::Receiver<(u64, Result<TrialOutcome, TrialError>, u64)>,
-) -> CampaignReport {
-    let mut report = CampaignReport::empty();
-    let mut buffer: BTreeMap<u64, (Result<TrialOutcome, TrialError>, u64)> = BTreeMap::new();
-    let mut next = 0u64;
-    for (index, result, retries) in rx.iter() {
-        buffer.insert(index, (result, retries));
-        while let Some((result, retries)) = buffer.remove(&next) {
-            report.absorb_result(next, result, retries);
-            next += 1;
-        }
-    }
-    for (index, (result, retries)) in buffer {
-        report.absorb_result(index, result, retries);
-    }
-    report
 }
 
 /// Renders a `catch_unwind` payload for [`TrialError::Panicked`].
@@ -1114,7 +960,7 @@ mod tests {
 
     #[test]
     fn campaign_aggregates_all_trials() {
-        let report = Campaign::new(tiny_config(), 5).run();
+        let report = Campaign::builder(tiny_config()).seed(5).build().run();
         assert_eq!(report.faults, 6);
         // The generator flows continuously, so at least the trigger
         // fraction of the nominal 25 requests was issued per trial.
@@ -1130,10 +976,13 @@ mod tests {
     fn all_engines_produce_byte_identical_reports() {
         let campaign = Campaign::builder(tiny_config()).seed(11).build();
         let serial = report_bytes(&campaign.run());
-        let striped = report_bytes(&campaign.run_parallel(3));
-        let stealing = report_bytes(&campaign.run_stealing(3));
-        assert_eq!(serial, striped, "striped engine must match serial");
-        assert_eq!(serial, stealing, "work-stealing engine must match serial");
+        let two = report_bytes(&campaign.run_stealing(2));
+        let three = report_bytes(&campaign.run_stealing(3));
+        assert_eq!(serial, two, "work-stealing on 2 threads must match serial");
+        assert_eq!(
+            serial, three,
+            "work-stealing on 3 threads must match serial"
+        );
     }
 
     #[test]
@@ -1144,7 +993,7 @@ mod tests {
         let serial = campaign.run();
         assert!(!serial.obs.is_empty(), "obs trials must contribute");
         let serial = report_bytes(&serial);
-        assert_eq!(serial, report_bytes(&campaign.run_parallel(3)));
+        assert_eq!(serial, report_bytes(&campaign.run_stealing(3)));
         assert_eq!(serial, report_bytes(&campaign.run_stealing(4)));
     }
 
@@ -1165,30 +1014,12 @@ mod tests {
     }
 
     #[test]
-    fn run_auto_dispatches_on_thread_count() {
-        let serial = Campaign::builder(tiny_config()).seed(11).build();
-        let threaded = Campaign::builder(tiny_config()).seed(11).threads(3).build();
-        assert_eq!(serial.threads(), 1);
-        assert_eq!(threaded.threads(), 3);
-        let a = serial.run_auto().expect("serial auto run");
-        let b = threaded.run_auto().expect("threaded auto run");
-        assert_eq!(report_bytes(&a), report_bytes(&b));
-    }
-
-    #[test]
-    fn new_is_a_thin_builder_delegate() {
-        let a = Campaign::new(tiny_config(), 7).run();
-        let b = Campaign::builder(tiny_config()).seed(7).build().run();
-        assert_eq!(report_bytes(&a), report_bytes(&b));
-    }
-
-    #[test]
     fn threads_are_capped_at_trial_count() {
-        // 6 trials over 64 requested threads: both engines must clamp
+        // 6 trials over 7 or 64 requested threads: the engine must clamp
         // rather than spawn idle workers, and still match serial.
         let campaign = Campaign::builder(tiny_config()).seed(11).build();
         let serial = report_bytes(&campaign.run());
-        assert_eq!(serial, report_bytes(&campaign.run_parallel(64)));
+        assert_eq!(serial, report_bytes(&campaign.run_stealing(7)));
         let (report, stats) = campaign.run_stealing_with_stats(64);
         assert_eq!(serial, report_bytes(&report));
         assert_eq!(stats.threads, 6, "64 threads over 6 trials is 6 workers");
@@ -1197,28 +1028,31 @@ mod tests {
 
     #[test]
     fn same_seed_reproduces() {
-        let a = Campaign::new(tiny_config(), 7).run();
-        let b = Campaign::new(tiny_config(), 7).run();
+        let a = Campaign::builder(tiny_config()).seed(7).build().run();
+        let b = Campaign::builder(tiny_config()).seed(7).build().run();
         assert_eq!(a.counts, b.counts);
     }
 
     #[test]
     fn interval_histogram_tracks_failed_requests() {
-        let report = Campaign::new(tiny_config(), 9).run();
+        let report = Campaign::builder(tiny_config()).seed(9).build().run();
         assert_eq!(
             report.failed_ack_interval_hist.total(),
             report.failed_ack_interval_ms.count()
         );
-        let parallel = Campaign::new(tiny_config(), 9).run_parallel(3);
+        let stealing = Campaign::builder(tiny_config())
+            .seed(9)
+            .build()
+            .run_stealing(3);
         assert_eq!(
-            parallel.failed_ack_interval_hist.total(),
+            stealing.failed_ack_interval_hist.total(),
             report.failed_ack_interval_hist.total()
         );
     }
 
     #[test]
     fn rates_divide_by_faults() {
-        let report = Campaign::new(tiny_config(), 13).run();
+        let report = Campaign::builder(tiny_config()).seed(13).build().run();
         let expected = report.counts.data_failures as f64 / report.faults as f64;
         assert!((report.data_failures_per_fault() - expected).abs() < 1e-12);
     }
@@ -1238,7 +1072,7 @@ mod tests {
         };
         config.trial.ssd.mount_failure_rate = 0.5;
         config.trial.ssd.mount_retry_limit = 1;
-        let campaign = Campaign::new(config, 11);
+        let campaign = Campaign::builder(config).seed(11).build();
         let report = campaign.run();
         assert_eq!(report.faults, 6);
         assert!(
@@ -1268,15 +1102,15 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), report.failures.total_failed());
-        let parallel = campaign.run_parallel(3);
-        assert_eq!(parallel.failures, report.failures);
-        assert_eq!(parallel.counts, report.counts);
+        let stealing = campaign.run_stealing(3);
+        assert_eq!(stealing.failures, report.failures);
+        assert_eq!(stealing.counts, report.counts);
     }
 
     #[test]
     fn zero_threads_is_clamped_to_serial() {
-        let campaign = Campaign::new(tiny_config(), 11);
-        let zero = campaign.run_parallel(0);
+        let campaign = Campaign::builder(tiny_config()).seed(11).build();
+        let zero = campaign.run_stealing(0);
         let serial = campaign.run();
         assert_eq!(zero.faults, serial.faults);
         assert_eq!(zero.counts, serial.counts);
@@ -1290,7 +1124,7 @@ mod tests {
             max_sim_time_us: None,
             max_events: Some(10),
         };
-        let report = Campaign::new(config, 3).run();
+        let report = Campaign::builder(config).seed(3).build().run();
         assert_eq!(report.faults, 3);
         assert_eq!(report.failures.watchdog_expired, vec![0, 1, 2]);
         assert_eq!(report.failures.total_failed(), 3);
@@ -1303,7 +1137,7 @@ mod tests {
         // A zero-capacity cache fails SsdConfig validation inside the
         // trial body, so every trial panics.
         config.trial.ssd.cache.capacity_sectors = 0;
-        let campaign = Campaign::new(config, 17).with_retries(2);
+        let campaign = Campaign::builder(config).seed(17).retries(2).build();
         let a = campaign.run();
         assert_eq!(a.faults, 6);
         assert_eq!(a.failures.panicked, vec![0, 1, 2, 3, 4, 5]);
@@ -1311,8 +1145,8 @@ mod tests {
         assert_eq!(a.failures.retries, 12);
         let b = campaign.run();
         assert_eq!(a.failures, b.failures);
-        let parallel = campaign.run_parallel(3);
-        assert_eq!(parallel.failures, a.failures);
+        let stealing = campaign.run_stealing(3);
+        assert_eq!(stealing.failures, a.failures);
     }
 
     #[test]
@@ -1320,7 +1154,7 @@ mod tests {
         let mut config = tiny_config();
         config.trial.ssd.mount_failure_rate = 1.0;
         config.trial.ssd.mount_retry_limit = 2;
-        let report = Campaign::new(config, 23).run();
+        let report = Campaign::builder(config).seed(23).build().run();
         assert_eq!(report.faults, 6);
         assert_eq!(report.counts.bricked_devices, 6);
         assert_eq!(report.failures.bricked.len(), 6);
@@ -1332,15 +1166,15 @@ mod tests {
         config.trials = 12;
         config.trial.ssd.mount_failure_rate = 0.5;
         config.trial.ssd.mount_retry_limit = 1;
-        let report = Campaign::new(config, 29).run();
+        let report = Campaign::builder(config).seed(29).build().run();
         let bricked = report.failures.bricked.len() as u64;
         assert_eq!(report.counts.bricked_devices, bricked);
         assert!(bricked > 0, "rate 0.5 should brick at least one of 12");
         assert!(bricked < 12, "rate 0.5 should let at least one mount");
         assert_eq!(report.responded_iops.count() + bricked, 12);
-        let parallel = Campaign::new(config, 29).run_parallel(4);
-        assert_eq!(parallel.failures, report.failures);
-        assert_eq!(parallel.counts, report.counts);
+        let stealing = Campaign::builder(config).seed(29).build().run_stealing(4);
+        assert_eq!(stealing.failures, report.failures);
+        assert_eq!(stealing.counts, report.counts);
     }
 
     #[test]
@@ -1348,8 +1182,8 @@ mod tests {
         let mut config = tiny_config();
         config.trial.ssd.mount_failure_rate = 0.5;
         config.trial.ssd.mount_retry_limit = 1;
-        let no_retry = Campaign::new(config, 29).run();
-        let with_retry = Campaign::new(config, 29).with_retries(4).run();
+        let no_retry = Campaign::builder(config).seed(29).build().run();
+        let with_retry = Campaign::builder(config).seed(29).retries(4).build().run();
         assert!(no_retry.failures.bricked.len() > with_retry.failures.bricked.len());
         assert!(with_retry.failures.retries > 0);
     }
@@ -1361,8 +1195,11 @@ mod tests {
         let path = dir.join("resume.json");
         let _ = std::fs::remove_file(&path);
 
-        let plain = Campaign::new(tiny_config(), 31).run();
-        let checkpointed = Campaign::new(tiny_config(), 31).with_checkpoint(&path, 2);
+        let plain = Campaign::builder(tiny_config()).seed(31).build().run();
+        let checkpointed = Campaign::builder(tiny_config())
+            .seed(31)
+            .checkpoint(&path, 2)
+            .build();
         let full = checkpointed.run_checked().expect("checkpointed run");
         assert_eq!(
             serde_json::to_string(&full).unwrap(),
@@ -1389,10 +1226,13 @@ mod tests {
         let path = dir.join("mismatch.json");
         let _ = std::fs::remove_file(&path);
 
-        let campaign = Campaign::new(tiny_config(), 37).with_checkpoint(&path, 2);
+        let campaign = Campaign::builder(tiny_config())
+            .seed(37)
+            .checkpoint(&path, 2)
+            .build();
         campaign.run_checked().expect("run");
 
-        let wrong_seed = Campaign::new(tiny_config(), 38);
+        let wrong_seed = Campaign::builder(tiny_config()).seed(38).build();
         match wrong_seed.resume_from(&path) {
             Err(PlatformError::Checkpoint(CheckpointError::Mismatch { field, .. })) => {
                 assert_eq!(field, "seed");
@@ -1402,7 +1242,7 @@ mod tests {
 
         let mut other_config = tiny_config();
         other_config.requests_per_trial += 1;
-        let wrong_config = Campaign::new(other_config, 37);
+        let wrong_config = Campaign::builder(other_config).seed(37).build();
         match wrong_config.resume_from(&path) {
             Err(PlatformError::Checkpoint(CheckpointError::Mismatch { field, .. })) => {
                 assert_eq!(field, "config_digest");
@@ -1422,7 +1262,10 @@ mod tests {
         let path = dir.join("stale-version.json");
         let _ = std::fs::remove_file(&path);
 
-        let campaign = Campaign::new(tiny_config(), 43).with_checkpoint(&path, 2);
+        let campaign = Campaign::builder(tiny_config())
+            .seed(43)
+            .checkpoint(&path, 2)
+            .build();
         campaign.run_checked().expect("run");
         let text = std::fs::read_to_string(&path).expect("checkpoint written");
         assert!(text.contains("\"version\":6"), "snapshot carries v6");
@@ -1451,7 +1294,10 @@ mod tests {
         let path = dir.join("observed.json");
         let _ = std::fs::remove_file(&path);
 
-        let campaign = Campaign::new(tiny_config(), 47).with_checkpoint(&path, 2);
+        let campaign = Campaign::builder(tiny_config())
+            .seed(47)
+            .checkpoint(&path, 2)
+            .build();
         let mut seen: Vec<(u64, bool)> = Vec::new();
         let run = campaign
             .run_observed(&mut |p| {
@@ -1484,8 +1330,11 @@ mod tests {
         let path = dir.join("paused.json");
         let _ = std::fs::remove_file(&path);
 
-        let plain = Campaign::new(tiny_config(), 53).run();
-        let campaign = Campaign::new(tiny_config(), 53).with_checkpoint(&path, 2);
+        let plain = Campaign::builder(tiny_config()).seed(53).build().run();
+        let campaign = Campaign::builder(tiny_config())
+            .seed(53)
+            .checkpoint(&path, 2)
+            .build();
         // Pause after trial 3 — an off-boundary stride, so the pause
         // itself must write the checkpoint.
         let run = campaign
@@ -1518,7 +1367,7 @@ mod tests {
 
     #[test]
     fn pause_at_final_trial_is_a_completion() {
-        let campaign = Campaign::new(tiny_config(), 59);
+        let campaign = Campaign::builder(tiny_config()).seed(59).build();
         let run = campaign
             .run_observed(&mut |_| ProgressSignal::Pause)
             .expect("run");
@@ -1535,7 +1384,11 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("corrupt.json");
         std::fs::write(&path, "{not json").expect("write");
-        match Campaign::new(tiny_config(), 41).resume_from(&path) {
+        match Campaign::builder(tiny_config())
+            .seed(41)
+            .build()
+            .resume_from(&path)
+        {
             Err(PlatformError::Checkpoint(CheckpointError::Corrupt(_))) => {}
             other => panic!("expected corrupt checkpoint, got {other:?}"),
         }
@@ -1676,7 +1529,10 @@ mod tests {
 
         // A plain (non-planned) paused run writes a checkpoint with no
         // planner state…
-        let campaign = Campaign::new(tiny_config(), 23).with_checkpoint(&path, 2);
+        let campaign = Campaign::builder(tiny_config())
+            .seed(23)
+            .checkpoint(&path, 2)
+            .build();
         let run = campaign
             .run_observed(&mut |p| {
                 if p.completed == 2 {
@@ -1697,20 +1553,5 @@ mod tests {
             other => panic!("expected corrupt checkpoint, got {other:?}"),
         }
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_trials_delegates_to_fixed_plan() {
-        let via_trials = Campaign::builder(tiny_config()).seed(29).trials(4).build();
-        let via_plan = Campaign::builder(tiny_config())
-            .seed(29)
-            .plan(PlanSpec::fixed(4))
-            .build();
-        assert_eq!(via_trials.plan_spec(), via_plan.plan_spec());
-        let a = via_trials.run_planned().expect("trials run");
-        let b = via_plan.run_planned().expect("plan run");
-        assert_eq!(report_bytes(&a), report_bytes(&b));
-        assert_eq!(a.faults, 4);
     }
 }

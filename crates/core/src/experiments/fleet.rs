@@ -20,9 +20,9 @@
 //! degraded from the first.
 //!
 //! Every trial is a pure function of `(config, seed)` with integer-only
-//! tallies, so the report is byte-identical across the serial, striped,
-//! and work-stealing engines — asserted at run time by re-reducing one
-//! point on two engines.
+//! tallies, so the report is byte-identical across the serial and
+//! work-stealing engines — asserted at run time by re-reducing one
+//! point on both.
 
 use std::fmt::Write as _;
 
@@ -194,8 +194,8 @@ fn run_trial(config: &FleetConfig, seed: u64) -> PointAgg {
     }
 }
 
-/// Reduces `trials` trials of one point on the chosen engine. All three
-/// engines absorb results in canonical trial order, so the aggregate is
+/// Reduces `trials` trials of one point on the chosen engine. Both engines
+/// absorb results in canonical trial order, so the aggregate is
 /// byte-identical regardless of engine or thread count.
 pub fn run_point(
     config: &FleetConfig,
@@ -204,60 +204,22 @@ pub fn run_point(
     threads: usize,
     engine: EngineArg,
 ) -> PointAgg {
-    let engine = match engine {
-        EngineArg::Auto => {
-            if threads > 1 {
-                EngineArg::Stealing
-            } else {
-                EngineArg::Serial
-            }
+    if !engine.steals(threads) {
+        let mut acc = PointAgg::default();
+        for i in 0..trials {
+            acc.merge(&run_trial(config, mix64(point_seed, i)));
         }
-        e => e,
-    };
-    match engine {
-        EngineArg::Serial | EngineArg::Auto => {
-            let mut acc = PointAgg::default();
-            for i in 0..trials {
-                acc.merge(&run_trial(config, mix64(point_seed, i)));
-            }
-            acc
-        }
-        EngineArg::Striped => {
-            let threads = threads.clamp(1, trials.max(1) as usize);
-            let mut slots: Vec<Option<PointAgg>> = vec![None; trials as usize];
-            std::thread::scope(|scope| {
-                let chunks: Vec<(usize, &mut [Option<PointAgg>])> = slots
-                    .chunks_mut(trials.div_ceil(threads as u64) as usize)
-                    .enumerate()
-                    .collect();
-                for (stripe, chunk) in chunks {
-                    let base = stripe as u64 * trials.div_ceil(threads as u64);
-                    scope.spawn(move || {
-                        for (off, slot) in chunk.iter_mut().enumerate() {
-                            let i = base + off as u64;
-                            *slot = Some(run_trial(config, mix64(point_seed, i)));
-                        }
-                    });
-                }
-            });
-            let mut acc = PointAgg::default();
-            for slot in slots {
-                acc.merge(&slot.expect("every stripe fills its slots"));
-            }
-            acc
-        }
-        EngineArg::Stealing => {
-            let (acc, _stats) = crate::scheduler::run_work_stealing(
-                trials,
-                threads,
-                crate::scheduler::DEFAULT_CHUNK,
-                |i| run_trial(config, mix64(point_seed, i)),
-                PointAgg::default(),
-                |acc: &mut PointAgg, _i, t: PointAgg| acc.merge(&t),
-            );
-            acc
-        }
+        return acc;
     }
+    let (acc, _stats) = crate::scheduler::run_work_stealing(
+        trials,
+        threads,
+        crate::scheduler::DEFAULT_CHUNK,
+        |i| run_trial(config, mix64(point_seed, i)),
+        PointAgg::default(),
+        |acc: &mut PointAgg, _i, t: PointAgg| acc.merge(&t),
+    );
+    acc
 }
 
 /// Runs the fleet sweep at the given scale with the given engine.
@@ -419,14 +381,18 @@ mod tests {
 
     #[test]
     fn same_seed_fleet_reports_are_byte_identical_across_engines() {
-        // Satellite: serial, striped, and stealing engines — and plain
+        // Serial and stealing engines at two thread counts — and plain
         // reruns — must all produce byte-identical reports.
         let a = run(tiny(), 777, EngineArg::Serial);
-        let b = run(tiny(), 777, EngineArg::Striped);
+        let wider = ExperimentScale {
+            threads: 3,
+            ..tiny()
+        };
+        let b = run(wider, 777, EngineArg::Stealing);
         let c = run(tiny(), 777, EngineArg::Stealing);
         let d = run(tiny(), 777, EngineArg::Serial);
         let json = |r: &FleetReport| serde_json::to_string(r).expect("serializes");
-        assert_eq!(json(&a), json(&b), "serial vs striped");
+        assert_eq!(json(&a), json(&b), "serial vs stealing on 3 threads");
         assert_eq!(json(&a), json(&c), "serial vs stealing");
         assert_eq!(json(&a), json(&d), "rerun");
     }

@@ -98,10 +98,9 @@ pub(crate) fn campaign_at(trial: TrialConfig, scale: ExperimentScale) -> Campaig
     }
 }
 
-/// Runs one swept point: a builder-first campaign on the scale's thread
-/// count over the work-stealing engine. Every engine reduces in
-/// canonical trial order, so this is byte-identical to a serial run of
-/// the same seed.
+/// Runs one swept point on the work-stealing engine with the scale's
+/// thread count. Both engines reduce in canonical trial order, so this
+/// is byte-identical to a serial run of the same seed.
 pub(crate) fn run_point(
     config: CampaignConfig,
     seed: u64,
@@ -109,7 +108,6 @@ pub(crate) fn run_point(
 ) -> crate::campaign::CampaignReport {
     crate::campaign::Campaign::builder(config)
         .seed(seed)
-        .threads(scale.threads)
         .build()
         .run_stealing(scale.threads)
 }

@@ -20,8 +20,8 @@
 //! 2. a confidence-driven plan ([`PlanSpec::ci`]) targeting that same
 //!    half-width must converge at **≥10x fewer trials** (Neyman
 //!    allocation concentrates rounds on the rare stratum);
-//! 3. the same adaptive plan re-run on the striped and work-stealing
-//!    engines must produce byte-identical reports;
+//! 3. the same adaptive plan re-run on the work-stealing engine must
+//!    produce a byte-identical report;
 //! 4. an importance-splitting plan ([`PlanSpec::split`]) must place
 //!    deterministic, strictly ascending level thresholds and land its
 //!    deep-tail estimate within an order of magnitude of the known
@@ -172,7 +172,7 @@ pub struct PlanExpReport {
     pub adaptive: PlanReport,
     /// `fixed.trials / adaptive.trials` — must be ≥ 10.
     pub gain: f64,
-    /// Serial/striped/stealing adaptive reports byte-equal.
+    /// Serial and stealing adaptive reports byte-equal.
     pub engines_agree: bool,
     /// Importance-splitting run on the same point.
     pub split: PlanReport,
@@ -224,15 +224,13 @@ pub fn run(scale: ExperimentScale, seed: u64) -> Result<PlanExpReport, PlatformE
     let gain = fixed.trials as f64 / adaptive.trials.max(1) as f64;
 
     // 3. Engine byte-equality on the adaptive plan.
-    let striped = run_plan(&point, adaptive_spec, seed, PlanEngine::Striped { threads: 3 })?;
     let stealing = run_plan(
         &point,
         adaptive_spec,
         seed,
         PlanEngine::Stealing { threads: 3 },
     )?;
-    let engines_agree = report_bytes(&adaptive) == report_bytes(&striped)
-        && report_bytes(&adaptive) == report_bytes(&stealing);
+    let engines_agree = report_bytes(&adaptive) == report_bytes(&stealing);
 
     // 4. Importance splitting, twice, for determinism.
     let split = run_plan(&point, PlanSpec::split(3), seed, PlanEngine::Serial)?;
@@ -329,7 +327,7 @@ pub fn check(report: &PlanExpReport) -> Vec<String> {
         fail("adaptive interval does not cover its own estimate".to_string());
     }
     if !report.engines_agree {
-        fail("serial/striped/stealing adaptive reports differ".to_string());
+        fail("serial/stealing adaptive reports differ".to_string());
     }
     if !report.split_deterministic {
         fail("same-seed splitting runs differ".to_string());

@@ -31,19 +31,16 @@ use super::{
     wear, wss, ExperimentScale,
 };
 
-/// Which campaign engine `--exp campaign` drives.
+/// Which engine `--engine` selects for campaign-style experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineArg {
-    /// Serial for one thread, work-stealing otherwise
-    /// ([`Campaign::run_auto`]).
+    /// Serial for one thread, work-stealing otherwise.
     #[default]
     Auto,
-    /// Single-threaded ([`Campaign::run_checked`]); the only engine that
-    /// honours checkpoints.
+    /// The serial trial loop ([`Campaign::run_checked`]); the only engine
+    /// that honours checkpoints.
     Serial,
-    /// Statically striped threads ([`Campaign::run_parallel`]).
-    Striped,
-    /// Work-stealing scheduler ([`Campaign::run_stealing`]).
+    /// The work-stealing scheduler ([`Campaign::run_stealing`]).
     Stealing,
 }
 
@@ -53,7 +50,6 @@ impl EngineArg {
         match s {
             "auto" => Some(EngineArg::Auto),
             "serial" => Some(EngineArg::Serial),
-            "striped" => Some(EngineArg::Striped),
             "stealing" => Some(EngineArg::Stealing),
             _ => None,
         }
@@ -64,8 +60,18 @@ impl EngineArg {
         match self {
             EngineArg::Auto => "auto",
             EngineArg::Serial => "serial",
-            EngineArg::Striped => "striped",
             EngineArg::Stealing => "stealing",
+        }
+    }
+
+    /// The one engine decision: whether a run over `threads` workers
+    /// goes to the work-stealing scheduler — under `stealing`, or under
+    /// `auto` with more than one thread.
+    pub fn steals(self, threads: usize) -> bool {
+        match self {
+            EngineArg::Auto => threads > 1,
+            EngineArg::Serial => false,
+            EngineArg::Stealing => true,
         }
     }
 }
@@ -495,7 +501,7 @@ impl Experiment for KvExperiment {
 /// must prove that confidence-driven stopping matches a fixed-N
 /// campaign's interval half-width at ≥10x fewer trials on a
 /// low-failure-rate point, that same-seed PlanReports are byte-equal
-/// across the serial/striped/stealing engines and across
+/// across the serial/stealing engines and across
 /// checkpoint/resume, and that splitting levels are deterministic and
 /// strictly ascending.
 struct PlanExperiment;
@@ -560,39 +566,38 @@ impl Experiment for CampaignExperiment {
             ));
         }
         let threads = o.threads.unwrap_or(1);
+        let stealing = o.engine.steals(threads);
+        if stealing && o.checkpoint.is_some() {
+            return Err(PlatformError::InvalidConfig(
+                "--checkpoint needs the serial trial loop: add --engine serial \
+                 (the work-stealing engine writes no checkpoints)"
+                    .into(),
+            ));
+        }
+        // `run_planned` steals iff the campaign has more than one thread.
         let mut builder = Campaign::builder(config)
             .plan(spec)
             .seed(ctx.seed)
             .retries(o.retries)
-            .threads(threads)
+            .threads(if stealing { threads } else { 1 })
             .snapshot_cache(o.snapshot_cache);
         if let Some(path) = &o.checkpoint {
             builder = builder.checkpoint(path, o.checkpoint_every);
         }
         let campaign = builder.build();
+        // Adaptive plans run in planner rounds; fixed plans keep their
+        // plan-less report.
         let adaptive = !matches!(spec, PlanSpec::Fixed { .. });
-        let report = if o.resume {
-            match &o.checkpoint {
-                Some(path) if adaptive => {
-                    campaign
-                        .resume_planned_observed(path, &mut |_| ProgressSignal::Continue)?
-                        .report
-                }
-                Some(path) => campaign.resume_from(path)?,
-                None => unreachable!("checked above"),
+        let report = match (&o.checkpoint, o.resume) {
+            (Some(path), true) if adaptive => {
+                campaign
+                    .resume_planned_observed(path, &mut |_| ProgressSignal::Continue)?
+                    .report
             }
-        } else if adaptive {
-            // Adaptive plans size themselves round by round; the planned
-            // runner honours `threads` and is byte-identical either way,
-            // so the engine flag only picks serial vs scheduled rounds.
-            campaign.run_planned()?
-        } else {
-            match o.engine {
-                EngineArg::Auto => campaign.run_auto()?,
-                EngineArg::Serial => campaign.run_checked()?,
-                EngineArg::Striped => campaign.run_parallel(threads),
-                EngineArg::Stealing => campaign.run_stealing(threads),
-            }
+            (Some(path), true) => campaign.resume_from(path)?,
+            _ if adaptive => campaign.run_planned()?,
+            _ if stealing => campaign.run_stealing(threads),
+            _ => campaign.run_checked()?,
         };
         let mut text = String::new();
         let mut checks = Vec::new();
@@ -1023,6 +1028,91 @@ mod tests {
                 assert!(why.contains("--checkpoint"), "{why}");
             }
             other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn checkpoint_with_the_stealing_engine_is_invalid_config() {
+        let path = std::env::temp_dir().join(format!(
+            "pfault-registry-stealing-{}.ckpt",
+            std::process::id()
+        ));
+        for (engine, threads) in [(EngineArg::Stealing, 1), (EngineArg::Auto, 2)] {
+            let mut ctx = tiny_ctx();
+            ctx.opts.engine = engine;
+            ctx.opts.threads = Some(threads);
+            ctx.opts.checkpoint = Some(path.clone());
+            match find("campaign").expect("registered").run(&ctx) {
+                Err(PlatformError::InvalidConfig(why)) => {
+                    assert!(why.contains("--engine serial"), "{why}");
+                }
+                other => panic!("expected InvalidConfig, got {other:?}"),
+            }
+        }
+        assert!(!path.exists(), "a refused run must not write a checkpoint");
+    }
+
+    #[test]
+    fn serial_engine_checkpoints_adaptive_plans_at_any_thread_count() {
+        let path = std::env::temp_dir().join(format!(
+            "pfault-registry-serial-{}.ckpt",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let mut ctx = tiny_ctx();
+        ctx.opts.plan = Some(PlanSpec::Confidence {
+            half_width: 0.45,
+            confidence: 0.9,
+            exact: false,
+            min_trials: 9,
+            max_trials: 24,
+            round: 3,
+        });
+        ctx.opts.engine = EngineArg::Serial;
+        ctx.opts.threads = Some(2);
+        ctx.opts.checkpoint = Some(path.clone());
+        ctx.opts.checkpoint_every = 2;
+        find("campaign")
+            .expect("registered")
+            .run(&ctx)
+            .expect("serial adaptive campaign runs");
+        assert!(path.exists(), "--engine serial must write its checkpoint");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn engine_decision_is_stealing_iff_asked_or_auto_with_threads() {
+        assert!(!EngineArg::Auto.steals(1));
+        assert!(EngineArg::Auto.steals(3));
+        assert!(!EngineArg::Serial.steals(3));
+        assert!(EngineArg::Stealing.steals(1));
+        for engine in [EngineArg::Auto, EngineArg::Serial, EngineArg::Stealing] {
+            assert_eq!(EngineArg::parse(engine.name()), Some(engine));
+        }
+        assert_eq!(EngineArg::parse("striped"), None);
+        // Auto on one thread runs the serial loop and on three the
+        // stealing loop, for fixed and adaptive plans alike; the report
+        // is the same either way.
+        let exp = find("campaign").expect("registered");
+        for plan in [
+            PlanSpec::fixed(4),
+            PlanSpec::Confidence {
+                half_width: 0.45,
+                confidence: 0.9,
+                exact: false,
+                min_trials: 9,
+                max_trials: 24,
+                round: 3,
+            },
+        ] {
+            let mut serial = tiny_ctx();
+            serial.opts.plan = Some(plan);
+            serial.opts.threads = Some(1);
+            let mut threaded = serial.clone();
+            threaded.opts.threads = Some(3);
+            let a = exp.run(&serial).expect("auto on one thread");
+            let b = exp.run(&threaded).expect("auto on three threads");
+            assert_eq!(a.json, b.json, "{}", plan.render());
         }
     }
 }

@@ -22,7 +22,7 @@
 //!   adaptive run byte-identically.
 //! * [`PlanReport`] — per-point n, p̂, intervals, and the strata
 //!   breakdown; same seed + same spec ⇒ byte-identical report, across
-//!   the serial, striped, and work-stealing engines.
+//!   the serial and work-stealing engines.
 //!
 //! Determinism rules (also in DESIGN.md §16): every planner decision is
 //! a pure function of `(spec, tallies)`; trial outcomes are pure
@@ -30,8 +30,6 @@
 //! `(stratum, index)` order regardless of engine; splitting level
 //! thresholds are order statistics of deterministic pilot batches. No
 //! wall clock, no OS entropy, no thread-arrival dependence.
-
-use std::sync::mpsc;
 
 use serde::{Deserialize, Serialize};
 
@@ -588,7 +586,7 @@ impl PlanState {
 
     /// Runs the planner decision at a round boundary: either extends
     /// the targets for another round or marks the state done. A pure
-    /// function of `(spec, tallies)`, so serial/striped/stealing
+    /// function of `(spec, tallies)`, so serial/stealing
     /// engines and paused/resumed runs all take identical decisions.
     pub fn advance(&mut self) -> Result<(), PlatformError> {
         if self.done {
@@ -966,18 +964,13 @@ pub trait PlanPoint: Sync {
     fn severity(&self, stratum: usize, index: u64) -> f64;
 }
 
-/// Which execution engine runs each round's trial batch. All three
-/// produce byte-identical reports: results are absorbed in canonical
+/// Which execution engine runs each round's trial batch. Both produce
+/// byte-identical reports: results are absorbed in canonical
 /// `(stratum, index)` order no matter which thread computed them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanEngine {
     /// One thread, in order.
     Serial,
-    /// Static round-robin striping across threads.
-    Striped {
-        /// Worker thread count.
-        threads: usize,
-    },
     /// Work-stealing scheduler (chunked deques, canonical reduce).
     Stealing {
         /// Worker thread count.
@@ -1025,31 +1018,6 @@ fn run_round<P: PlanPoint>(point: &P, jobs: &[(usize, u64)], engine: PlanEngine)
     let eval = |&(h, i): &(usize, u64)| point.severity(h, i) >= 1.0;
     match engine {
         PlanEngine::Serial => jobs.iter().map(eval).collect(),
-        PlanEngine::Striped { threads } => {
-            let workers = threads.max(1).min(jobs.len().max(1));
-            if workers <= 1 {
-                return jobs.iter().map(eval).collect();
-            }
-            let mut bits = vec![false; jobs.len()];
-            let (tx, rx) = mpsc::channel::<(usize, bool)>();
-            std::thread::scope(|scope| {
-                for w in 0..workers {
-                    let tx = tx.clone();
-                    scope.spawn(move || {
-                        let mut j = w;
-                        while j < jobs.len() {
-                            let _ = tx.send((j, eval(&jobs[j])));
-                            j += workers;
-                        }
-                    });
-                }
-                drop(tx);
-                for (j, bit) in rx {
-                    bits[j] = bit;
-                }
-            });
-            bits
-        }
         PlanEngine::Stealing { threads } => {
             let (bits, _stats) = scheduler::run_work_stealing(
                 jobs.len() as u64,
@@ -1335,10 +1303,10 @@ mod tests {
         let point = TwoStrata { fail_one_in: 8 };
         let spec = PlanSpec::ci(0.05, 0.95);
         let serial = run_plan(&point, spec, 7, PlanEngine::Serial).unwrap();
-        let striped = run_plan(&point, spec, 7, PlanEngine::Striped { threads: 4 }).unwrap();
+        let two = run_plan(&point, spec, 7, PlanEngine::Stealing { threads: 2 }).unwrap();
         let stealing = run_plan(&point, spec, 7, PlanEngine::Stealing { threads: 4 }).unwrap();
         let s0 = serde_json::to_string(&serial).unwrap();
-        assert_eq!(s0, serde_json::to_string(&striped).unwrap());
+        assert_eq!(s0, serde_json::to_string(&two).unwrap());
         assert_eq!(s0, serde_json::to_string(&stealing).unwrap());
         assert!(serial.trials >= DEFAULT_MIN_TRIALS);
         assert!(serial.wilson.half_width() <= 0.05);

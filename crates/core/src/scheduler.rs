@@ -1,13 +1,12 @@
 //! Work-stealing trial scheduler.
 //!
-//! The striped scheduler ([`crate::campaign::Campaign::run_parallel`])
-//! hands worker *w* trials `w, w+T, w+2T, …` up front. That is fair on
+//! Handing worker *w* trials `w, w+T, w+2T, …` up front is fair on
 //! average but stalls on skew: one slow stripe (a retried trial, a
 //! recovery storm, a watchdog-budget trial) leaves the other workers
-//! idle at the tail. This module replaces static striping with classic
-//! work stealing: trial indices are chunked into batches on a shared
-//! injector queue, each worker drains its own deque and refills from the
-//! injector, and a worker that runs dry steals half of a victim's deque.
+//! idle at the tail. This module uses classic work stealing instead:
+//! trial indices are chunked into batches on a shared injector queue,
+//! each worker drains its own deque and refills from the injector, and
+//! a worker that runs dry steals half of a victim's deque.
 //!
 //! Results are *not* reduced here in arrival order. Workers emit
 //! `(trial index, result)` pairs and the caller's accumulator absorbs

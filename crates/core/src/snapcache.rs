@@ -439,7 +439,7 @@ mod tests {
         config.trial = config.trial.with_warmup_requests(8);
         config.trials = 3;
         config.requests_per_trial = 20;
-        let report = Campaign::new(config, 31).run();
+        let report = Campaign::builder(config).seed(31).build().run();
         assert_eq!(report.faults, 3);
         assert_eq!(
             report.failures.total_failed(),

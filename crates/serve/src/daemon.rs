@@ -33,7 +33,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use pfault_platform::campaign::{Campaign, CampaignConfig, CampaignProgress, ProgressSignal};
+use pfault_platform::campaign::{
+    Campaign, CampaignBuilder, CampaignConfig, CampaignProgress, ProgressSignal,
+};
 use pfault_platform::experiments::{self, ExperimentCtx, ExperimentOpts, ExperimentScale};
 use pfault_platform::plan::PlanSpec;
 use pfault_platform::{snapcache, ObsAggregate};
@@ -366,10 +368,11 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
     }
 }
 
-/// Builds the campaign a spec describes. Pure: the daemon, the restart
-/// path, and the self-check's reference run all call this, which is
-/// what makes "byte-identical" meaningful.
-pub fn campaign_for(spec: &JobSpec) -> Result<Campaign, String> {
+/// The campaign a spec describes, as a builder the daemon adds its
+/// spool checkpoint to. Pure: the daemon, the restart path, and the
+/// self-check's reference run all call this, which is what makes
+/// "byte-identical" meaningful.
+pub fn campaign_for(spec: &JobSpec) -> Result<CampaignBuilder, String> {
     let mut config = CampaignConfig::paper_default();
     match spec.profile.as_str() {
         "paper" => {}
@@ -413,7 +416,7 @@ pub fn campaign_for(spec: &JobSpec) -> Result<Campaign, String> {
     if let Some(plan) = &spec.plan {
         builder = builder.plan(*plan);
     }
-    Ok(builder.build())
+    Ok(builder)
 }
 
 /// The daemon-side campaign: `campaign_for` plus the spool checkpoint.
@@ -423,7 +426,9 @@ fn spooled_campaign(shared: &Shared, id: u64, spec: &JobSpec) -> Result<Campaign
     } else {
         shared.config.checkpoint_every
     };
-    Ok(campaign_for(spec)?.with_checkpoint(shared.spool.checkpoint_path(id), every))
+    Ok(campaign_for(spec)?
+        .checkpoint(shared.spool.checkpoint_path(id), every)
+        .build())
 }
 
 /// Trial totals of a finished job: the spec's count for classic jobs,

@@ -15,7 +15,7 @@
 //! * [`proto`] — the JSON request/response vocabulary carried inside
 //!   frames;
 //! * [`spool`] — the durability layer: job specs, campaign checkpoints
-//!   (the platform's `with_checkpoint` machinery), an append-only
+//!   (the platform's campaign checkpoint machinery), an append-only
 //!   sequence-numbered result journal per job, and a final-report
 //!   marker, all written so a killed daemon restarts and resumes every
 //!   in-flight job **byte-identically**;

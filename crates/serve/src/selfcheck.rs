@@ -118,7 +118,7 @@ fn run_selfcheck(seed: u64) -> Outcome {
     // -- Reference: the same spec run locally, uninterrupted. ---------
     let reference = campaign_for(&spec)
         .map_err(|e| e.to_string())
-        .and_then(|c| c.run_checked().map_err(|e| e.to_string()))
+        .and_then(|c| c.build().run_checked().map_err(|e| e.to_string()))
         .and_then(|r| serde_json::to_string(&r).map_err(|e| e.to_string()));
     let reference = match reference {
         Ok(json) => json,
@@ -424,7 +424,7 @@ fn run_selfcheck(seed: u64) -> Outcome {
     let mut adaptive_convergence = false;
     let adaptive_spec = JobSpec::tiny_adaptive(seed ^ 7);
     let adaptive_reference = campaign_for(&adaptive_spec)
-        .and_then(|c| c.run_planned().map_err(|e| e.to_string()))
+        .and_then(|c| c.build().run_planned().map_err(|e| e.to_string()))
         .and_then(|r| serde_json::to_string(&r).map_err(|e| e.to_string()));
     match (adaptive_reference, Daemon::start(DaemonConfig::new(&spool_p))) {
         (Ok(reference), Ok(daemon)) => {

@@ -4,7 +4,7 @@
 //! spool/
 //!   job-7.spec.json    # the JobSpec, written atomically at accept time
 //!   job-7.ckpt.json    # the platform's campaign checkpoint (atomic
-//!                      # tmp+rename, written by with_checkpoint)
+//!                      # tmp+rename, written by checkpoint())
 //!   job-7.events.jsonl # append-only result journal, one JobEvent per
 //!                      # line, dense seq from 0
 //!   job-7.done.json    # final report JSON, written atomically when
@@ -57,7 +57,7 @@ impl Spool {
     }
 
     /// Path of the job's campaign checkpoint (handed to the platform's
-    /// `with_checkpoint`).
+    /// `CampaignBuilder::checkpoint`).
     pub fn checkpoint_path(&self, job: u64) -> PathBuf {
         self.path(job, "ckpt.json")
     }

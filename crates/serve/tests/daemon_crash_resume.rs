@@ -26,6 +26,7 @@ fn scratch(name: &str) -> std::path::PathBuf {
 fn reference_report(spec: &JobSpec) -> String {
     let report = campaign_for(spec)
         .expect("spec builds a campaign")
+        .build()
         .run_checked()
         .expect("reference run succeeds");
     serde_json::to_string(&report).expect("report serializes")

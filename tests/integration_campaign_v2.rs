@@ -8,8 +8,8 @@
 //! *arbitrary* seeds and vendors, not just the presets the unit tests
 //! happen to pick, and regardless of how many blocks the trial dirties
 //! in its private overlay (zero-dirty through all-dirty). And the
-//! serial, striped-parallel, and work-stealing engines must emit
-//! byte-identical `CampaignReport`s (including the order-sensitive
+//! serial and work-stealing engines must emit byte-identical
+//! `CampaignReport`s (including the order-sensitive
 //! Welford `obs` aggregates), with the snapshot cache on or off.
 
 use proptest::prelude::*;
@@ -163,8 +163,8 @@ proptest! {
     }
 }
 
-/// Serial, striped, and work-stealing engines, with the snapshot cache
-/// on or off, all produce byte-identical reports — per vendor, with the
+/// Serial and work-stealing engines, with the snapshot cache on or
+/// off and at any thread count, all produce byte-identical reports — per vendor, with the
 /// probe bus on so the order-sensitive `obs` aggregates are covered too.
 #[test]
 fn engines_and_snapshotting_agree_byte_for_byte() {
@@ -185,37 +185,36 @@ fn engines_and_snapshotting_agree_byte_for_byte() {
             "{vendor:?}: snapshot cloning changed the serial report"
         );
         assert_eq!(
-            bytes(&cached.run_parallel(3)),
+            bytes(&cached.run_stealing(2)),
             baseline,
-            "{vendor:?}: striped engine changed the report"
+            "{vendor:?}: work-stealing on 2 threads changed the report"
         );
         assert_eq!(
             bytes(&cached.run_stealing(3)),
             baseline,
             "{vendor:?}: work-stealing engine changed the report"
         );
-        let auto = Campaign::builder(config)
+        let uncached_stealing = Campaign::builder(config)
             .seed(seed)
-            .threads(3)
+            .snapshot_cache(false)
             .build()
-            .run_auto()
-            .expect("auto run");
+            .run_stealing(3);
         assert_eq!(
-            bytes(&auto),
+            bytes(&uncached_stealing),
             baseline,
-            "{vendor:?}: run_auto changed the report"
+            "{vendor:?}: work-stealing without the snapshot cache changed the report"
         );
     }
 }
 
-/// `run_parallel` and the work-stealing scheduler both cap their thread
-/// pool at the trial count — oversubscription must not change results.
+/// The work-stealing scheduler caps its thread pool at the trial count —
+/// oversubscription must not change results.
 #[test]
 fn oversubscribed_threads_are_harmless() {
     let config = campaign_config(VendorPreset::SsdC, 8, false);
     let campaign = Campaign::builder(config).seed(99).build();
     let baseline = bytes(&campaign.run());
-    assert_eq!(bytes(&campaign.run_parallel(64)), baseline);
+    assert_eq!(bytes(&campaign.run_stealing(9)), baseline);
     let (report, stats) = campaign.run_stealing_with_stats(64);
     assert_eq!(bytes(&report), baseline);
     assert_eq!(stats.threads, config.trials, "threads clamp to trial count");

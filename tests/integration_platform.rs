@@ -85,8 +85,8 @@ fn campaign_serial_equals_parallel() {
         trials: 8,
         requests_per_trial: 30,
     };
-    let serial = Campaign::new(config, 3).run();
-    let parallel = Campaign::new(config, 3).run_parallel(4);
+    let serial = Campaign::builder(config).seed(3).build().run();
+    let parallel = Campaign::builder(config).seed(3).build().run_stealing(4);
     assert_eq!(serial.counts, parallel.counts);
     assert_eq!(serial.requests_issued, parallel.requests_issued);
     assert_eq!(
@@ -101,8 +101,8 @@ fn failure_ledger_is_deterministic_between_serial_and_parallel() {
 
     // A config that actually produces trial failures: a tight event budget
     // expires some trials, and the spared ones face a coin-flip mount
-    // failure with a single retry, so some devices brick. The parallel
-    // runner strides trials across workers and merges; the resulting
+    // failure with a single retry, so some devices brick. The stealing
+    // engine spreads trials across workers and merges; the resulting
     // failures ledger must be *exactly* equal to the serial one —
     // same indices, same causes, same (sorted) order.
     let mut config = CampaignConfig {
@@ -120,8 +120,8 @@ fn failure_ledger_is_deterministic_between_serial_and_parallel() {
     config.trial.ssd.mount_failure_rate = 0.5;
     config.trial.ssd.mount_retry_limit = 1;
 
-    let serial = Campaign::new(config, 11).run();
-    let parallel = Campaign::new(config, 11).run_parallel(4);
+    let serial = Campaign::builder(config).seed(11).build().run();
+    let parallel = Campaign::builder(config).seed(11).build().run_stealing(4);
 
     assert!(
         serial.failures.total_failed() > 0,

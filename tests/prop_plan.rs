@@ -161,13 +161,12 @@ proptest! {
     /// and any pause point.
     #[test]
     fn planned_pause_resume_is_byte_identical(seed: u64, pause in 1u64..7) {
-        let build = || {
+        let builder = || {
             Campaign::builder(tiny_config())
                 .seed(seed)
                 .plan(loose_ci())
-                .build()
         };
-        let golden = build().run_planned().expect("uninterrupted planned run");
+        let golden = builder().build().run_planned().expect("uninterrupted planned run");
         let golden = serde_json::to_string(&golden).expect("report serializes");
 
         let dir = std::env::temp_dir().join("pfault-prop-plan");
@@ -177,7 +176,7 @@ proptest! {
             std::process::id()
         ));
         let _ = std::fs::remove_file(&ckpt);
-        let campaign = build().with_checkpoint(&ckpt, 2);
+        let campaign = builder().checkpoint(&ckpt, 2).build();
         let run = campaign
             .run_planned_observed(&mut |p| {
                 if p.completed == pause {
