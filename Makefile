@@ -5,6 +5,8 @@
 #   make lint    — clippy gate: warnings are errors, and bare unwrap()
 #                  is banned in pfault-platform library code (tests are
 #                  allow-listed via cfg_attr in crates/core/src/lib.rs)
+#   make doc     — rustdoc gate: every crate's docs build with warnings
+#                  as errors, so a broken intra-doc link fails CI
 #   make sweep-smoke — bounded fault-space boundary sweep (<10 s): the
 #                  stock firmware must sweep clean, and the seeded
 #                  apply-before-verify bug must be caught and minimized
@@ -52,7 +54,7 @@
 
 CARGO ?= cargo
 
-.PHONY: all build test lint lint-core lint-workspace sweep-smoke obs-smoke recovery-smoke fleet-smoke kv-smoke serve-smoke plan-smoke golden golden-update pfbench-smoke check clean
+.PHONY: all build test lint doc lint-core lint-workspace sweep-smoke obs-smoke recovery-smoke fleet-smoke kv-smoke serve-smoke plan-smoke golden golden-update pfbench-smoke check clean
 
 all: check
 
@@ -83,6 +85,9 @@ lint-workspace:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
 
 lint: lint-core lint-workspace
+
+doc:
+	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --no-deps --workspace --offline
 
 # The probe bus is only useful if it is deterministic: the repro binary
 # self-checks the trace (dense seqs, parseable lines, non-empty
@@ -163,7 +168,7 @@ golden-update: build
 pfbench-smoke:
 	$(CARGO) run --release --offline --quiet --manifest-path benchmark/Cargo.toml --bin pfbench -- smoke
 
-check: build lint test sweep-smoke obs-smoke recovery-smoke fleet-smoke kv-smoke serve-smoke plan-smoke golden pfbench-smoke
+check: build lint doc test sweep-smoke obs-smoke recovery-smoke fleet-smoke kv-smoke serve-smoke plan-smoke golden pfbench-smoke
 
 clean:
 	$(CARGO) clean

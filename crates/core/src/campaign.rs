@@ -3,20 +3,23 @@
 //! The paper's experiments each inject hundreds of faults ("more than 300
 //! power faults … during 24,000 requests"). A [`Campaign`] runs one trial
 //! per fault with an independent derived seed and aggregates the
-//! [`FailureCounts`] into a [`CampaignReport`]. There are two trial
-//! loops: the serial one ([`Campaign::run`], the only one that
-//! checkpoints, pauses, and resumes) and the work-stealing one
-//! ([`Campaign::run_stealing`]), which schedules chunked batches over
-//! worker threads ([`crate::scheduler`]). Both run fixed-N campaigns and
-//! planner-driven rounds alike, and both reduce results in canonical
+//! [`FailureCounts`] into a [`CampaignReport`]. [`Campaign::execute`] is
+//! the one entry point, and the builder's state makes every choice: an
+//! adaptive [`PlanSpec`] runs planner rounds and keeps the planner state
+//! in the report; `threads(n)` with `n > 1` runs each round on the
+//! work-stealing scheduler ([`crate::scheduler`]), otherwise trials run
+//! serially, the only loop that checkpoints; `resume` continues from the
+//! builder's checkpoint. Both loops reduce results in canonical
 //! trial-index order, so serial and work-stealing runs of the same seed
 //! produce **byte-identical** reports.
 //!
 //! With [`TrialConfig::warmup_requests`] set, trials start from a shared
 //! warm device state. The warm-up is run once per configuration, frozen
-//! as a [`pfault_ssd::DeviceImage`], memoized in the process-wide
-//! [`crate::snapcache`], and copy-on-write-cloned per trial —
-//! byte-identical to replaying the warm-up inline, at a fraction of the
+//! as a [`pfault_ssd::DeviceImage`], memoized in the campaign's
+//! [`SnapshotCache`] (a fresh one per builder, unless
+//! [`CampaignBuilder::snapshot_cache`] hands in one the caller holds, as
+//! the daemon does for all its jobs), and copy-on-write-cloned per trial
+//! — byte-identical to replaying the warm-up inline, at a fraction of the
 //! cost (the clone shares the flash arena and materialises only the
 //! blocks the trial touches).
 
@@ -37,6 +40,7 @@ use crate::error::{CheckpointError, PlatformError, TrialError};
 use crate::plan::{PlanReport, PlanSpec, PlanState};
 use crate::platform::{TestPlatform, TrialConfig, TrialOutcome};
 use crate::scheduler::{self, SchedulerStats};
+use crate::snapcache::SnapshotCache;
 
 /// Campaign configuration: a trial template plus the fault count.
 #[derive(Debug, Clone, Copy)]
@@ -319,15 +323,16 @@ struct CampaignCheckpoint {
 // shape and lose the planner's round/tally state.
 const CHECKPOINT_VERSION: u32 = 6;
 
-/// Per-trial progress handed to a [`Campaign::run_observed`] observer
-/// after the trial's result has been absorbed (and, at checkpoint
-/// boundaries, after the checkpoint hit disk — so an observer that
-/// persists progress can rely on the snapshot being durable first).
+/// Progress handed to a [`Campaign::execute`] observer after each
+/// absorbed trial (serial loop) or round (stealing loop) and, at
+/// checkpoint boundaries, after the checkpoint hit disk — so an observer
+/// that persists progress can rely on the snapshot being durable first.
 #[derive(Debug)]
 pub struct CampaignProgress<'a> {
-    /// Trials absorbed so far (`1..=trials`).
+    /// Trials absorbed so far.
     pub completed: u64,
-    /// Total trials the campaign will run.
+    /// Trials the campaign will run: the fixed count, or the planner's
+    /// current round target, which grows as the planner extends the run.
     pub trials: u64,
     /// Whether a boundary checkpoint was written just before this call.
     pub checkpointed: bool,
@@ -335,19 +340,20 @@ pub struct CampaignProgress<'a> {
     pub report: &'a CampaignReport,
 }
 
-/// An observer's verdict after each trial.
+/// An observer's verdict after each progress call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProgressSignal {
     /// Keep running trials.
     Continue,
-    /// Stop after this trial. If the campaign has a checkpoint
-    /// configured, the current prefix is checkpointed first, so a later
-    /// [`Campaign::resume_from`] picks up exactly here.
+    /// Stop here. If the campaign has a checkpoint configured, the
+    /// current prefix is checkpointed first, so a later
+    /// `execute(true, ..)` picks up exactly here.
     Pause,
 }
 
-/// Outcome of an observed run: the report so far plus whether the
-/// observer paused the campaign before all trials ran.
+/// Outcome of [`Campaign::execute`]: the report so far, whether the
+/// observer paused the campaign before all trials ran, and how the run's
+/// one warm-image lookup went.
 #[derive(Debug, Clone)]
 pub struct ObservedRun {
     /// The (possibly partial) aggregated report.
@@ -357,6 +363,11 @@ pub struct ObservedRun {
     /// `true` iff the observer returned [`ProgressSignal::Pause`]
     /// before the final trial.
     pub paused: bool,
+    /// 1 if this run's warm image came from the snapshot cache, else 0.
+    pub cache_hits: u64,
+    /// 1 if this run had to build its warm image, else 0. Both are 0
+    /// without a cache or without a warm-up.
+    pub cache_misses: u64,
 }
 
 /// A campaign runner. Construct via [`Campaign::builder`].
@@ -368,7 +379,7 @@ pub struct Campaign {
     retries: u32,
     checkpoint: Option<CheckpointSpec>,
     threads: usize,
-    snapshot_cache: bool,
+    snapshot_cache: Option<Arc<SnapshotCache>>,
 }
 
 #[derive(Debug, Clone)]
@@ -385,52 +396,41 @@ struct CheckpointSpec {
 /// let mut config = CampaignConfig::paper_default();
 /// config.trials = 2;
 /// config.requests_per_trial = 10;
-/// let campaign = Campaign::builder(config)
-///     .seed(42)
-///     .snapshot_cache(true)
-///     .build();
-/// let report = campaign.run_stealing(2);
+/// let campaign = Campaign::builder(config).seed(42).threads(2).build();
+/// let report = campaign.run();
 /// assert_eq!(report.faults, 2);
 /// ```
 #[derive(Debug, Clone)]
-pub struct CampaignBuilder {
-    config: CampaignConfig,
-    plan: Option<PlanSpec>,
-    seed: u64,
-    retries: u32,
-    checkpoint: Option<CheckpointSpec>,
-    threads: usize,
-    snapshot_cache: bool,
-}
+pub struct CampaignBuilder(Campaign);
 
 impl CampaignBuilder {
     /// Sizes the campaign with a [`PlanSpec`] — the single sizing
-    /// surface across the workspace. `PlanSpec::fixed(n)` reproduces
-    /// the classic fixed-N loop; a confidence spec makes
-    /// [`Campaign::run_planned`] adaptive. The config's `trials` field
-    /// is set to the plan's budget so legacy readers keep a meaningful
-    /// denominator. Splitting specs are rejected at run time: whole
-    /// campaigns expose only pass/fail bits, not severities.
+    /// surface across the workspace. `PlanSpec::fixed(n)` is the classic
+    /// fixed-N loop with a plan-less report; a confidence spec makes the
+    /// campaign adaptive. The config's `trials` field is set to the
+    /// plan's budget so legacy readers keep a meaningful denominator.
+    /// Splitting specs are rejected at run time: whole campaigns expose
+    /// only pass/fail bits, not severities.
     #[must_use]
     pub fn plan(mut self, spec: PlanSpec) -> Self {
-        self.config.trials = spec.trial_budget() as usize;
-        self.plan = Some(spec);
+        self.0.config.trials = spec.trial_budget() as usize;
+        self.0.plan = Some(spec);
         self
     }
 
     /// Seeds every trial (defaults to 0).
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.0.seed = seed;
         self
     }
 
-    /// Worker threads for [`Campaign::run_planned`] (default 1 = serial;
-    /// clamped to ≥ 1). The thread count never changes the report — only
-    /// how fast it is produced.
+    /// Worker threads (default 1 = the serial loop; clamped to ≥ 1).
+    /// More than one runs the work-stealing loop. The thread count never
+    /// changes the report — only how fast it is produced.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+        self.0.threads = threads.max(1);
         self
     }
 
@@ -440,60 +440,54 @@ impl CampaignBuilder {
     /// failures is unaffected by this setting.
     #[must_use]
     pub fn retries(mut self, retries: u32) -> Self {
-        self.retries = retries;
+        self.0.retries = retries;
         self
     }
 
     /// Writes a resumable JSON checkpoint to `path` after every `every`
-    /// completed trials (serial runs only; `every` is clamped to ≥ 1).
-    /// The write is atomic: a temp file is renamed over `path`.
+    /// completed trials (serial runs only; `every` is clamped to ≥ 1),
+    /// and is where `execute(true, ..)` resumes from. The write is
+    /// atomic: a temp file is renamed over `path`.
     #[must_use]
     pub fn checkpoint(mut self, path: impl Into<PathBuf>, every: u64) -> Self {
-        self.checkpoint = Some(CheckpointSpec {
+        self.0.checkpoint = Some(CheckpointSpec {
             path: path.into(),
             every: every.max(1),
         });
         self
     }
 
-    /// Whether warm-up device images are served from the process-wide
-    /// memoized cache (default `true`). Only meaningful when the trial
-    /// configuration sets [`TrialConfig::warmup_requests`]; with the
-    /// cache off, every trial replays the warm-up inline — byte-identical
-    /// results, just slower.
+    /// The cache warm-up images are served from: a fresh one per
+    /// builder by default. Hand in a shared cache so separate campaigns
+    /// reuse one warm-up, or `None` so every trial replays the warm-up
+    /// inline — byte-identical results, just slower. Only meaningful
+    /// when the trial configuration sets
+    /// [`TrialConfig::warmup_requests`].
     #[must_use]
-    pub fn snapshot_cache(mut self, enabled: bool) -> Self {
-        self.snapshot_cache = enabled;
+    pub fn snapshot_cache(mut self, cache: Option<Arc<SnapshotCache>>) -> Self {
+        self.0.snapshot_cache = cache;
         self
     }
 
     /// Finalizes the campaign.
     pub fn build(self) -> Campaign {
-        Campaign {
-            config: self.config,
-            plan: self.plan,
-            seed: self.seed,
-            retries: self.retries,
-            checkpoint: self.checkpoint,
-            threads: self.threads,
-            snapshot_cache: self.snapshot_cache,
-        }
+        self.0
     }
 }
 
 impl Campaign {
     /// Starts a builder for `config` with the defaults: seed 0, serial,
-    /// no retries, no checkpointing, snapshot cache on.
+    /// no retries, no checkpointing, a fresh snapshot cache.
     pub fn builder(config: CampaignConfig) -> CampaignBuilder {
-        CampaignBuilder {
+        CampaignBuilder(Campaign {
             config,
             plan: None,
             seed: 0,
             retries: 0,
             checkpoint: None,
             threads: 1,
-            snapshot_cache: true,
-        }
+            snapshot_cache: Some(Arc::default()),
+        })
     }
 
     fn trial_config(&self) -> TrialConfig {
@@ -535,13 +529,33 @@ impl Campaign {
         })
     }
 
-    /// The memoized warm image for this campaign, if image cloning
-    /// applies (cache enabled *and* the trial configuration has a
-    /// warm-up). `None` means trials build their device themselves —
-    /// cold, or with an inline warm-up replay.
-    fn campaign_image(&self, platform: &TestPlatform) -> Option<Arc<DeviceImage>> {
-        (self.snapshot_cache && platform.config().warmup_requests > 0)
-            .then(|| crate::snapcache::warm_image_for(platform))
+    /// A fresh report: plan-less for a fixed plan, carrying the initial
+    /// single-stratum planner state for an adaptive one. Splitting plans
+    /// are refused.
+    fn fresh_report(&self) -> Result<CampaignReport, PlatformError> {
+        let mut report = CampaignReport::empty();
+        match self.plan_spec() {
+            PlanSpec::Fixed { .. } => {}
+            PlanSpec::Splitting { .. } => {
+                return Err(PlatformError::InvalidConfig(
+                    "splitting plans need a severity source (plan::run_plan on a PlanPoint); \
+                     whole campaigns expose only pass/fail trials"
+                        .to_string(),
+                ))
+            }
+            spec => report.plan = Some(PlanState::single(spec)?),
+        }
+        Ok(report)
+    }
+
+    /// The warm image trials clone and whether the cache already held
+    /// it, if image cloning applies (a cache is set *and* the trial
+    /// configuration has a warm-up). `None` means trials build their
+    /// device themselves — cold, or with an inline warm-up replay.
+    fn campaign_image(&self, platform: &TestPlatform) -> Option<(Arc<DeviceImage>, bool)> {
+        let cache = self.snapshot_cache.as_ref()?;
+        (platform.config().warmup_requests > 0)
+            .then(|| cache.image_for(platform.config_digest(), || platform.warm_image()))
     }
 
     /// Runs one trial with panic isolation and deterministic retry.
@@ -578,124 +592,6 @@ impl Campaign {
         }
     }
 
-    /// The serial trial loop. A planned report runs to the planner's
-    /// current round target and lets the planner extend or finish the
-    /// run at each boundary; a plan-less report is one round of
-    /// `trials`. After every trial the observer sees the absorbed
-    /// prefix and may pause the campaign. Boundary checkpoints are
-    /// written *before* the observer runs; a pause mid-stride
-    /// checkpoints the current prefix (when configured) so nothing
-    /// completed is ever lost. Both the planner's decisions and the
-    /// per-trial failure bits are pure functions of the absorbed
-    /// prefix, so pausing anywhere — even mid-round — and resuming is
-    /// byte-identical to never pausing.
-    fn run_serial(
-        &self,
-        mut report: CampaignReport,
-        start: u64,
-        observer: &mut dyn FnMut(CampaignProgress<'_>) -> ProgressSignal,
-    ) -> Result<ObservedRun, PlatformError> {
-        let platform = TestPlatform::new(self.trial_config());
-        let image = self.campaign_image(&platform);
-        let trials = self.config.trials as u64;
-        let mut completed = start;
-        loop {
-            match report.plan.as_mut() {
-                Some(state) if state.done => break,
-                Some(state) if completed >= state.targets[0] => {
-                    state.advance()?;
-                    continue;
-                }
-                None if completed >= trials => break,
-                _ => {}
-            }
-            let (result, retries_used) = self.run_one(&platform, image.as_deref(), completed);
-            report.absorb_result(completed, result, retries_used);
-            completed += 1;
-            let (done, trials_now) = match report.plan.as_mut() {
-                Some(state) => {
-                    if state.round_complete() {
-                        state.advance()?;
-                    }
-                    (state.done, state.targets[0].max(completed))
-                }
-                None => (completed >= trials, trials),
-            };
-            let mut checkpointed = false;
-            if let Some(spec) = &self.checkpoint {
-                if completed.is_multiple_of(spec.every) && !done {
-                    self.write_checkpoint(spec, completed, &report)?;
-                    checkpointed = true;
-                }
-            }
-            let signal = observer(CampaignProgress {
-                completed,
-                trials: trials_now,
-                checkpointed,
-                report: &report,
-            });
-            if signal == ProgressSignal::Pause && !done {
-                if let Some(spec) = &self.checkpoint {
-                    if !checkpointed {
-                        self.write_checkpoint(spec, completed, &report)?;
-                    }
-                }
-                return Ok(ObservedRun {
-                    report,
-                    completed,
-                    paused: true,
-                });
-            }
-        }
-        Ok(ObservedRun {
-            report,
-            completed,
-            paused: false,
-        })
-    }
-
-    /// The work-stealing loop: each planner round (a plan-less report is
-    /// one round of `trials`) runs over [`scheduler::run_work_stealing`],
-    /// which folds results in canonical index order, so the report is
-    /// byte-identical to [`Campaign::run_serial`]'s. Returns the
-    /// scheduler stats of the last round. Never checkpoints.
-    fn run_rounds_stealing(
-        &self,
-        mut report: CampaignReport,
-        threads: usize,
-    ) -> Result<(CampaignReport, SchedulerStats), PlatformError> {
-        let platform = TestPlatform::new(self.trial_config());
-        let image = self.campaign_image(&platform);
-        let mut completed = 0u64;
-        loop {
-            let target = report
-                .plan
-                .as_ref()
-                .map_or(self.config.trials as u64, |state| state.targets[0]);
-            let (next, stats) = scheduler::run_work_stealing(
-                target.saturating_sub(completed),
-                threads.max(1),
-                scheduler::DEFAULT_CHUNK,
-                |i| self.run_one(&platform, image.as_deref(), completed + i),
-                report,
-                |report, i, (result, retries_used)| {
-                    report.absorb_result(completed + i, result, retries_used);
-                },
-            );
-            report = next;
-            completed = target;
-            match report.plan.as_mut() {
-                Some(state) => {
-                    state.advance()?;
-                    if state.done {
-                        return Ok((report, stats));
-                    }
-                }
-                None => return Ok((report, stats)),
-            }
-        }
-    }
-
     fn write_checkpoint(
         &self,
         spec: &CheckpointSpec,
@@ -716,36 +612,6 @@ impl Campaign {
         std::fs::write(&tmp, text)?;
         std::fs::rename(&tmp, &spec.path)?;
         Ok(())
-    }
-
-    /// Runs all trials serially. Equivalent to
-    /// [`Campaign::run_checked`] but panics on a checkpoint IO error.
-    pub fn run(&self) -> CampaignReport {
-        match self.run_checked() {
-            Ok(report) => report,
-            Err(e) => panic!("campaign failed: {e}"),
-        }
-    }
-
-    /// Runs all trials serially. Trials that panic, exceed the watchdog
-    /// budget, or brick the device are retried per
-    /// [`CampaignBuilder::retries`] and, if still failing, recorded in
-    /// [`CampaignReport::failures`] — the campaign itself keeps going.
-    /// Errors only on checkpoint IO problems.
-    pub fn run_checked(&self) -> Result<CampaignReport, PlatformError> {
-        Ok(self.run_observed(&mut |_| ProgressSignal::Continue)?.report)
-    }
-
-    /// Resumes a serial run from a checkpoint written by
-    /// [`CampaignBuilder::checkpoint`]. The checkpoint must match this
-    /// campaign's seed, trial count, and configuration; the completed
-    /// prefix is taken from the snapshot and the remaining trials run
-    /// normally, so the final report is identical to an uninterrupted
-    /// [`Campaign::run_checked`].
-    pub fn resume_from(&self, path: impl AsRef<Path>) -> Result<CampaignReport, PlatformError> {
-        Ok(self
-            .resume_observed(path, &mut |_| ProgressSignal::Continue)?
-            .report)
     }
 
     /// Reads and validates a checkpoint written by this campaign.
@@ -771,42 +637,68 @@ impl Campaign {
         Ok(snapshot)
     }
 
-    /// [`Campaign::run_checked`] with a per-trial observer: after every
-    /// absorbed trial (and after any boundary checkpoint has been made
-    /// durable) the observer sees the prefix report and may pause the
-    /// run. A paused campaign checkpoints its prefix (when configured)
-    /// and reports `paused = true`; resuming it later via
-    /// [`Campaign::resume_from`] / [`Campaign::resume_observed`] yields
-    /// a final report byte-identical to an uninterrupted run.
-    pub fn run_observed(
+    /// Runs the campaign, or with `resume` continues it from the
+    /// builder's checkpoint. The builder decides the rest:
+    ///
+    /// * the report carries planner state iff the plan is adaptive
+    ///   (not [`PlanSpec::Fixed`]); the planner extends or stops the run
+    ///   at round boundaries;
+    /// * more than one [`CampaignBuilder::threads`] runs each round on
+    ///   the work-stealing scheduler, otherwise trials run serially;
+    /// * the serial loop writes the configured checkpoint every `every`
+    ///   trials, and before a pause.
+    ///
+    /// After every absorbed trial (serial) or round (stealing) the
+    /// observer sees the prefix and may pause the run; resuming a paused
+    /// run later yields a report byte-identical to an uninterrupted one.
+    /// Trials that panic, exceed the watchdog budget, or brick the
+    /// device are retried per [`CampaignBuilder::retries`] and, if still
+    /// failing, recorded in [`CampaignReport::failures`] — the campaign
+    /// itself keeps going.
+    ///
+    /// Errors with `InvalidConfig` for a splitting plan, a checkpoint
+    /// with more than one thread, or `resume` without a checkpoint; with
+    /// a checkpoint error on IO problems, on a checkpoint from another
+    /// campaign, or when the checkpoint's planner state disagrees with
+    /// the plan.
+    pub fn execute(
         &self,
+        resume: bool,
         observer: &mut dyn FnMut(CampaignProgress<'_>) -> ProgressSignal,
     ) -> Result<ObservedRun, PlatformError> {
-        self.run_serial(CampaignReport::empty(), 0, observer)
+        let steal = (self.threads > 1).then_some(self.threads);
+        Ok(self.drive(resume, steal, observer)?.0)
     }
 
-    /// [`Campaign::resume_from`] with a per-trial observer (see
-    /// [`Campaign::run_observed`]). Only the remaining trials run; the
-    /// observer's `completed` counts include the checkpointed prefix.
-    pub fn resume_observed(
-        &self,
-        path: impl AsRef<Path>,
-        observer: &mut dyn FnMut(CampaignProgress<'_>) -> ProgressSignal,
-    ) -> Result<ObservedRun, PlatformError> {
-        let snapshot = self.load_checkpoint(path.as_ref())?;
-        self.run_serial(snapshot.report, snapshot.completed, observer)
+    /// Runs the campaign from scratch: [`Campaign::execute`] without an
+    /// observer, panicking where it would return an error.
+    pub fn run(&self) -> CampaignReport {
+        match self.execute(false, &mut |_| ProgressSignal::Continue) {
+            Ok(run) => run.report,
+            Err(e) => panic!("campaign failed: {e}"),
+        }
     }
 
-    /// Trials already absorbed by the checkpoint at `path`, without
-    /// running anything — daemons use this to decide where a resumed
-    /// job's result stream picks up.
-    pub fn checkpoint_completed(&self, path: impl AsRef<Path>) -> Result<u64, PlatformError> {
-        Ok(self.load_checkpoint(path.as_ref())?.completed)
+    /// [`Campaign::run`] on the work-stealing loop with `threads`
+    /// workers (`0` is treated as `1`; the pool is capped at the round
+    /// size) whatever the builder's thread count, also returning the
+    /// scheduler's per-worker telemetry (trials run, steals,
+    /// utilization) for the last round. The stats are
+    /// wall-clock-dependent and live outside the report so reports stay
+    /// engine-independent.
+    pub fn run_stealing_with_stats(&self, threads: usize) -> (CampaignReport, SchedulerStats) {
+        match self.drive(false, Some(threads.max(1)), &mut |_| {
+            ProgressSignal::Continue
+        }) {
+            Ok((run, stats)) => (run.report, stats),
+            Err(e) => panic!("campaign failed: {e}"),
+        }
     }
 
     /// The checkpoint's `(completed, report)` pair, validated but not
-    /// run — daemons use the report to reconstruct the progress record
-    /// a crash may have kept out of their result journal.
+    /// run — daemons use it to decide where a resumed job's result
+    /// stream picks up and to rebuild the progress record a crash may
+    /// have kept out of their result journal.
     pub fn checkpoint_snapshot(
         &self,
         path: impl AsRef<Path>,
@@ -815,94 +707,123 @@ impl Campaign {
         Ok((snapshot.completed, snapshot.report))
     }
 
-    /// Runs all trials over work-stealing workers ([`crate::scheduler`]):
-    /// trial batches start on a shared injector, idle workers steal half
-    /// of a victim's queue, so skewed trial costs (retries, recovery
-    /// storms) never leave threads idle at the tail. `0` threads is
-    /// treated as `1`, and the pool is capped at the trial count.
-    /// Byte-identical to [`Campaign::run`]; checkpoints are not written.
-    pub fn run_stealing(&self, threads: usize) -> CampaignReport {
-        self.run_stealing_with_stats(threads).0
-    }
-
-    /// [`Campaign::run_stealing`], also returning the scheduler's
-    /// per-worker telemetry (trials run, steals, utilization). The stats
-    /// are wall-clock-dependent and live outside the report so reports
-    /// stay engine-independent.
-    pub fn run_stealing_with_stats(&self, threads: usize) -> (CampaignReport, SchedulerStats) {
-        match self.run_rounds_stealing(CampaignReport::empty(), threads) {
-            Ok(run) => run,
-            // Only a planner decision can fail, and a plan-less report
-            // takes none.
-            Err(e) => unreachable!("plan-less campaign failed: {e}"),
-        }
-    }
-
-    /// A fresh report carrying the initial single-stratum planner
-    /// state, after validating the plan spec for whole-campaign
-    /// execution.
-    fn planned_report(&self) -> Result<CampaignReport, PlatformError> {
-        let spec = self.plan_spec();
-        if matches!(spec, PlanSpec::Splitting { .. }) {
+    /// The trial loop behind [`Campaign::execute`]. Each pass runs one
+    /// trial (serial) or the rest of the current round on
+    /// [`scheduler::run_work_stealing`] (`steal` = its thread count),
+    /// which folds results in canonical index order, so both engines
+    /// produce the same bytes. A plan-less report is one round of
+    /// `trials`. After each pass the planner may extend or finish the
+    /// run at a round boundary, a due checkpoint is written, and the
+    /// observer may pause; a pause mid-stride checkpoints the prefix
+    /// (when configured) so nothing completed is lost. The planner's
+    /// decisions and the failure bits are pure functions of the absorbed
+    /// prefix, so pausing anywhere — even mid-round — and resuming is
+    /// byte-identical to never pausing. Also returns the scheduler
+    /// stats of the last stealing round.
+    fn drive(
+        &self,
+        resume: bool,
+        steal: Option<usize>,
+        observer: &mut dyn FnMut(CampaignProgress<'_>) -> ProgressSignal,
+    ) -> Result<(ObservedRun, SchedulerStats), PlatformError> {
+        if steal.is_some() && self.checkpoint.is_some() {
             return Err(PlatformError::InvalidConfig(
-                "splitting plans need a severity source (plan::run_plan on a PlanPoint); \
-                 whole campaigns expose only pass/fail trials"
+                "checkpoints need the serial trial loop: build the campaign with threads(1)"
                     .to_string(),
             ));
         }
-        let mut report = CampaignReport::empty();
-        report.plan = Some(PlanState::single(spec)?);
-        Ok(report)
-    }
-
-    /// Runs the campaign under its [`PlanSpec`]: trials proceed in
-    /// planner-scheduled rounds and stop as soon as the spec is
-    /// satisfied (for `Fixed`, after exactly N trials; for
-    /// `Confidence`, once the interval on the data-loss rate is tight).
-    /// Honours [`CampaignBuilder::threads`]: rounds run serially or on
-    /// the work-stealing scheduler, byte-identically. The returned
-    /// report carries the planner state in [`CampaignReport::plan`].
-    pub fn run_planned(&self) -> Result<CampaignReport, PlatformError> {
-        let report = self.planned_report()?;
-        if self.threads <= 1 {
-            Ok(self
-                .run_serial(report, 0, &mut |_| ProgressSignal::Continue)?
-                .report)
-        } else {
-            Ok(self.run_rounds_stealing(report, self.threads)?.0)
+        let mut report = self.fresh_report()?;
+        let mut completed = 0;
+        if resume {
+            let Some(spec) = &self.checkpoint else {
+                return Err(PlatformError::InvalidConfig(
+                    "resuming needs a checkpoint to resume from".to_string(),
+                ));
+            };
+            let snapshot = self.load_checkpoint(&spec.path)?;
+            if snapshot.report.plan.is_some() != report.plan.is_some() {
+                return Err(CheckpointError::Corrupt(format!(
+                    "checkpoint planner state does not fit plan {}",
+                    self.plan_spec().render()
+                ))
+                .into());
+            }
+            report = snapshot.report;
+            completed = snapshot.completed;
         }
-    }
-
-    /// [`Campaign::run_planned`] with a per-trial observer — the serial
-    /// planned loop, honouring checkpoints exactly like
-    /// [`Campaign::run_observed`]. `CampaignProgress::trials` reports
-    /// the current round target, which grows as the planner extends the
-    /// run.
-    pub fn run_planned_observed(
-        &self,
-        observer: &mut dyn FnMut(CampaignProgress<'_>) -> ProgressSignal,
-    ) -> Result<ObservedRun, PlatformError> {
-        self.run_serial(self.planned_report()?, 0, observer)
-    }
-
-    /// Resumes a planned run from a v6 checkpoint: the planner state
-    /// (tallies, round index, current targets) comes back with the
-    /// report, so the remaining trials — and every future allocation
-    /// decision — replay exactly as the uninterrupted run would have.
-    pub fn resume_planned_observed(
-        &self,
-        path: impl AsRef<Path>,
-        observer: &mut dyn FnMut(CampaignProgress<'_>) -> ProgressSignal,
-    ) -> Result<ObservedRun, PlatformError> {
-        self.planned_report()?; // reject invalid specs before touching disk
-        let snapshot = self.load_checkpoint(path.as_ref())?;
-        if snapshot.report.plan.is_none() {
-            return Err(CheckpointError::Corrupt(
-                "checkpoint carries no planner state; resume with resume_observed".to_string(),
-            )
-            .into());
+        let platform = TestPlatform::new(self.trial_config());
+        let lookup = self.campaign_image(&platform);
+        let image = lookup.as_ref().map(|(image, _)| image.as_ref());
+        let trials = self.config.trials as u64;
+        let mut stats = SchedulerStats::default();
+        let mut paused = false;
+        loop {
+            let target = match report.plan.as_mut() {
+                Some(state) if state.done => break,
+                Some(state) if completed >= state.targets[0] => {
+                    state.advance()?;
+                    continue;
+                }
+                Some(state) => state.targets[0],
+                None if completed >= trials => break,
+                None => trials,
+            };
+            if let Some(threads) = steal {
+                let start = completed;
+                (report, stats) = scheduler::run_work_stealing(
+                    target - start,
+                    threads,
+                    scheduler::DEFAULT_CHUNK,
+                    |i| self.run_one(&platform, image, start + i),
+                    report,
+                    |report, i, (result, retries_used)| {
+                        report.absorb_result(start + i, result, retries_used);
+                    },
+                );
+                completed = target;
+            } else {
+                let (result, retries_used) = self.run_one(&platform, image, completed);
+                report.absorb_result(completed, result, retries_used);
+                completed += 1;
+            }
+            let (done, trials_now) = match report.plan.as_mut() {
+                Some(state) => {
+                    if state.round_complete() {
+                        state.advance()?;
+                    }
+                    (state.done, state.targets[0].max(completed))
+                }
+                None => (completed >= trials, trials),
+            };
+            let mut checkpointed = false;
+            if let Some(spec) = &self.checkpoint {
+                if completed.is_multiple_of(spec.every) && !done {
+                    self.write_checkpoint(spec, completed, &report)?;
+                    checkpointed = true;
+                }
+            }
+            let signal = observer(CampaignProgress {
+                completed,
+                trials: trials_now,
+                checkpointed,
+                report: &report,
+            });
+            if signal == ProgressSignal::Pause && !done {
+                if let Some(spec) = self.checkpoint.as_ref().filter(|_| !checkpointed) {
+                    self.write_checkpoint(spec, completed, &report)?;
+                }
+                paused = true;
+                break;
+            }
         }
-        self.run_serial(snapshot.report, snapshot.completed, observer)
+        let run = ObservedRun {
+            report,
+            completed,
+            paused,
+            cache_hits: u64::from(matches!(lookup, Some((_, true)))),
+            cache_misses: u64::from(matches!(lookup, Some((_, false)))),
+        };
+        Ok((run, stats))
     }
 }
 
@@ -972,12 +893,25 @@ mod tests {
         serde_json::to_string(report).expect("report serializes")
     }
 
+    /// The same campaign on `threads` workers.
+    fn on_threads(campaign: &Campaign, threads: usize) -> CampaignReport {
+        CampaignBuilder(campaign.clone())
+            .threads(threads)
+            .build()
+            .run()
+    }
+
+    /// [`Campaign::execute`] without an observer.
+    fn go(campaign: &Campaign, resume: bool) -> Result<ObservedRun, PlatformError> {
+        campaign.execute(resume, &mut |_| ProgressSignal::Continue)
+    }
+
     #[test]
     fn all_engines_produce_byte_identical_reports() {
         let campaign = Campaign::builder(tiny_config()).seed(11).build();
         let serial = report_bytes(&campaign.run());
-        let two = report_bytes(&campaign.run_stealing(2));
-        let three = report_bytes(&campaign.run_stealing(3));
+        let two = report_bytes(&on_threads(&campaign, 2));
+        let three = report_bytes(&on_threads(&campaign, 3));
         assert_eq!(serial, two, "work-stealing on 2 threads must match serial");
         assert_eq!(
             serial, three,
@@ -993,23 +927,23 @@ mod tests {
         let serial = campaign.run();
         assert!(!serial.obs.is_empty(), "obs trials must contribute");
         let serial = report_bytes(&serial);
-        assert_eq!(serial, report_bytes(&campaign.run_stealing(3)));
-        assert_eq!(serial, report_bytes(&campaign.run_stealing(4)));
+        assert_eq!(serial, report_bytes(&on_threads(&campaign, 3)));
+        assert_eq!(serial, report_bytes(&on_threads(&campaign, 4)));
     }
 
     #[test]
     fn snapshot_cloning_matches_inline_warmup_byte_for_byte() {
         let mut config = tiny_config();
         config.trial.warmup_requests = 16;
-        let cached = Campaign::builder(config).seed(21).snapshot_cache(true);
-        let inline = cached.clone().snapshot_cache(false);
+        let cached = Campaign::builder(config).seed(21);
+        let inline = cached.clone().snapshot_cache(None);
         let with_cache = report_bytes(&cached.build().run());
         let without_cache = report_bytes(&inline.build().run());
         assert_eq!(
             with_cache, without_cache,
             "snapshot restore must equal inline warm-up replay"
         );
-        let stealing = report_bytes(&Campaign::builder(config).seed(21).build().run_stealing(3));
+        let stealing = report_bytes(&on_threads(&Campaign::builder(config).seed(21).build(), 3));
         assert_eq!(with_cache, stealing);
     }
 
@@ -1019,7 +953,7 @@ mod tests {
         // rather than spawn idle workers, and still match serial.
         let campaign = Campaign::builder(tiny_config()).seed(11).build();
         let serial = report_bytes(&campaign.run());
-        assert_eq!(serial, report_bytes(&campaign.run_stealing(7)));
+        assert_eq!(serial, report_bytes(&on_threads(&campaign, 7)));
         let (report, stats) = campaign.run_stealing_with_stats(64);
         assert_eq!(serial, report_bytes(&report));
         assert_eq!(stats.threads, 6, "64 threads over 6 trials is 6 workers");
@@ -1040,10 +974,7 @@ mod tests {
             report.failed_ack_interval_hist.total(),
             report.failed_ack_interval_ms.count()
         );
-        let stealing = Campaign::builder(tiny_config())
-            .seed(9)
-            .build()
-            .run_stealing(3);
+        let stealing = on_threads(&Campaign::builder(tiny_config()).seed(9).build(), 3);
         assert_eq!(
             stealing.failed_ack_interval_hist.total(),
             report.failed_ack_interval_hist.total()
@@ -1102,7 +1033,7 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), report.failures.total_failed());
-        let stealing = campaign.run_stealing(3);
+        let stealing = on_threads(&campaign, 3);
         assert_eq!(stealing.failures, report.failures);
         assert_eq!(stealing.counts, report.counts);
     }
@@ -1110,7 +1041,7 @@ mod tests {
     #[test]
     fn zero_threads_is_clamped_to_serial() {
         let campaign = Campaign::builder(tiny_config()).seed(11).build();
-        let zero = campaign.run_stealing(0);
+        let zero = on_threads(&campaign, 0);
         let serial = campaign.run();
         assert_eq!(zero.faults, serial.faults);
         assert_eq!(zero.counts, serial.counts);
@@ -1145,7 +1076,7 @@ mod tests {
         assert_eq!(a.failures.retries, 12);
         let b = campaign.run();
         assert_eq!(a.failures, b.failures);
-        let stealing = campaign.run_stealing(3);
+        let stealing = on_threads(&campaign, 3);
         assert_eq!(stealing.failures, a.failures);
     }
 
@@ -1172,7 +1103,7 @@ mod tests {
         assert!(bricked > 0, "rate 0.5 should brick at least one of 12");
         assert!(bricked < 12, "rate 0.5 should let at least one mount");
         assert_eq!(report.responded_iops.count() + bricked, 12);
-        let stealing = Campaign::builder(config).seed(29).build().run_stealing(4);
+        let stealing = on_threads(&Campaign::builder(config).seed(29).build(), 4);
         assert_eq!(stealing.failures, report.failures);
         assert_eq!(stealing.counts, report.counts);
     }
@@ -1200,7 +1131,7 @@ mod tests {
             .seed(31)
             .checkpoint(&path, 2)
             .build();
-        let full = checkpointed.run_checked().expect("checkpointed run");
+        let full = go(&checkpointed, false).expect("checkpointed run").report;
         assert_eq!(
             serde_json::to_string(&full).unwrap(),
             serde_json::to_string(&plain).unwrap(),
@@ -1210,7 +1141,7 @@ mod tests {
         // The file on disk holds a partial prefix (the last mid-run
         // snapshot); resuming from it must reproduce the full report
         // byte-for-byte.
-        let resumed = checkpointed.resume_from(&path).expect("resume");
+        let resumed = go(&checkpointed, true).expect("resume").report;
         assert_eq!(
             serde_json::to_string(&resumed).unwrap(),
             serde_json::to_string(&plain).unwrap(),
@@ -1230,10 +1161,13 @@ mod tests {
             .seed(37)
             .checkpoint(&path, 2)
             .build();
-        campaign.run_checked().expect("run");
+        go(&campaign, false).expect("run");
 
-        let wrong_seed = Campaign::builder(tiny_config()).seed(38).build();
-        match wrong_seed.resume_from(&path) {
+        let wrong_seed = Campaign::builder(tiny_config())
+            .seed(38)
+            .checkpoint(&path, 2)
+            .build();
+        match go(&wrong_seed, true) {
             Err(PlatformError::Checkpoint(CheckpointError::Mismatch { field, .. })) => {
                 assert_eq!(field, "seed");
             }
@@ -1242,8 +1176,11 @@ mod tests {
 
         let mut other_config = tiny_config();
         other_config.requests_per_trial += 1;
-        let wrong_config = Campaign::builder(other_config).seed(37).build();
-        match wrong_config.resume_from(&path) {
+        let wrong_config = Campaign::builder(other_config)
+            .seed(37)
+            .checkpoint(&path, 2)
+            .build();
+        match go(&wrong_config, true) {
             Err(PlatformError::Checkpoint(CheckpointError::Mismatch { field, .. })) => {
                 assert_eq!(field, "config_digest");
             }
@@ -1266,7 +1203,7 @@ mod tests {
             .seed(43)
             .checkpoint(&path, 2)
             .build();
-        campaign.run_checked().expect("run");
+        go(&campaign, false).expect("run");
         let text = std::fs::read_to_string(&path).expect("checkpoint written");
         assert!(text.contains("\"version\":6"), "snapshot carries v6");
 
@@ -1277,7 +1214,7 @@ mod tests {
             "\"version\":2",
         ] {
             std::fs::write(&path, text.replace("\"version\":6", stale)).expect("rewrite");
-            match campaign.resume_from(&path) {
+            match go(&campaign, true) {
                 Err(PlatformError::Checkpoint(CheckpointError::Mismatch { field, .. })) => {
                     assert_eq!(field, "version");
                 }
@@ -1300,7 +1237,7 @@ mod tests {
             .build();
         let mut seen: Vec<(u64, bool)> = Vec::new();
         let run = campaign
-            .run_observed(&mut |p| {
+            .execute(false, &mut |p| {
                 seen.push((p.completed, p.checkpointed));
                 assert_eq!(p.trials, 6);
                 assert_eq!(p.report.faults, p.completed);
@@ -1338,7 +1275,7 @@ mod tests {
         // Pause after trial 3 — an off-boundary stride, so the pause
         // itself must write the checkpoint.
         let run = campaign
-            .run_observed(&mut |p| {
+            .execute(false, &mut |p| {
                 if p.completed == 3 {
                     ProgressSignal::Pause
                 } else {
@@ -1348,10 +1285,10 @@ mod tests {
             .expect("paused run");
         assert!(run.paused);
         assert_eq!(run.completed, 3);
-        assert_eq!(campaign.checkpoint_completed(&path).expect("ckpt"), 3);
+        assert_eq!(campaign.checkpoint_snapshot(&path).expect("ckpt").0, 3);
 
         let resumed = campaign
-            .resume_observed(&path, &mut |p| {
+            .execute(true, &mut |p| {
                 assert!(p.completed > 3, "resume must not rerun the prefix");
                 ProgressSignal::Continue
             })
@@ -1369,7 +1306,7 @@ mod tests {
     fn pause_at_final_trial_is_a_completion() {
         let campaign = Campaign::builder(tiny_config()).seed(59).build();
         let run = campaign
-            .run_observed(&mut |_| ProgressSignal::Pause)
+            .execute(false, &mut |_| ProgressSignal::Pause)
             .expect("run");
         // No checkpoint configured: the pause after trial 1 ends the
         // run with a partial report rather than erroring.
@@ -1384,11 +1321,11 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("corrupt.json");
         std::fs::write(&path, "{not json").expect("write");
-        match Campaign::builder(tiny_config())
+        let campaign = Campaign::builder(tiny_config())
             .seed(41)
-            .build()
-            .resume_from(&path)
-        {
+            .checkpoint(&path, 2)
+            .build();
+        match go(&campaign, true) {
             Err(PlatformError::Checkpoint(CheckpointError::Corrupt(_))) => {}
             other => panic!("expected corrupt checkpoint, got {other:?}"),
         }
@@ -1412,50 +1349,89 @@ mod tests {
     }
 
     #[test]
-    fn fixed_plan_matches_classic_run_modulo_plan_state() {
+    fn fixed_plan_matches_classic_run_byte_for_byte() {
         let classic = Campaign::builder(tiny_config()).seed(11).build().run();
-        let planned = Campaign::builder(tiny_config())
+        let fixed = Campaign::builder(tiny_config())
             .seed(11)
             .plan(PlanSpec::fixed(6))
             .build()
-            .run_planned()
-            .expect("planned run");
-        assert_eq!(planned.faults, classic.faults);
-        assert_eq!(planned.counts, classic.counts);
-        let state = planned.plan.clone().expect("planned run records state");
-        assert!(state.done);
-        assert_eq!(state.total_trials(), 6);
-        assert_eq!(state.round, 1, "fixed plans are a single round");
-        // Every tallied failure is a trial with data loss or no outcome,
-        // so the tally can never exceed the trial count and must be at
-        // least the terminal-failure count.
-        assert!(state.total_failures() <= 6);
-        assert!(state.total_failures() >= planned.failures.total_failed() as u64);
-        let pr = planned.plan_report().expect("plan report");
-        assert_eq!(pr.trials, 6);
-        assert!(pr.wilson.covers(pr.p_hat));
+            .run();
+        assert!(fixed.plan.is_none(), "fixed plans keep a plan-less report");
+        assert_eq!(report_bytes(&fixed), report_bytes(&classic));
     }
 
     #[test]
     fn planned_engines_agree_byte_for_byte() {
-        let serial = Campaign::builder(tiny_config())
+        // Every entry point honours the builder's plan and thread count:
+        // the plan, not the 24-trial budget, decides when to stop.
+        let campaign = Campaign::builder(tiny_config())
             .seed(13)
             .plan(loose_ci_spec())
-            .build()
-            .run_planned()
-            .expect("serial planned");
-        let stealing = Campaign::builder(tiny_config())
-            .seed(13)
-            .plan(loose_ci_spec())
-            .threads(3)
-            .build()
-            .run_planned()
-            .expect("stealing planned");
-        assert_eq!(report_bytes(&serial), report_bytes(&stealing));
-        let state = serial.plan.expect("plan state");
+            .build();
+        let planned = go(&campaign, false).expect("planned serial run").report;
+        let bytes = report_bytes(&planned);
+        assert_eq!(report_bytes(&campaign.run()), bytes);
+        assert_eq!(report_bytes(&on_threads(&campaign, 3)), bytes);
+        let (stolen, stats) = campaign.run_stealing_with_stats(2);
+        assert_eq!(report_bytes(&stolen), bytes);
+        assert_eq!(stats.trials, 3, "the last round is three trials wide");
+        let state = planned.plan.expect("plan state");
         assert!(state.done);
         assert_eq!(state.total_trials(), 9, "loose spec stops at its floor");
         assert_eq!(state.round, 3, "three rounds of three trials");
+    }
+
+    #[test]
+    fn checkpoints_with_threads_or_resume_without_one_are_invalid_config() {
+        let path = std::env::temp_dir().join(format!(
+            "pfault-checkpoint-threads-{}.json",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        let builder = Campaign::builder(tiny_config()).seed(7);
+        let threaded = builder.clone().threads(3).checkpoint(&path, 2).build();
+        for (campaign, resume) in [(threaded, false), (builder.build(), true)] {
+            match go(&campaign, resume) {
+                Err(PlatformError::InvalidConfig(why)) => assert!(why.contains("checkpoint")),
+                other => panic!("expected InvalidConfig, got {other:?}"),
+            }
+        }
+        assert!(!path.exists(), "a refused run must not write a checkpoint");
+    }
+
+    #[test]
+    fn concurrent_campaigns_attribute_only_their_own_lookup() {
+        // Two campaigns share one cache and run at once: whichever looks
+        // the image up first builds it, the other clones it, and each
+        // run reports exactly its own lookup.
+        let mut config = tiny_config();
+        config.trial.warmup_requests = 16;
+        let cache = Arc::new(SnapshotCache::default());
+        let campaigns: Vec<Campaign> = [61, 67]
+            .map(|seed| {
+                Campaign::builder(config)
+                    .seed(seed)
+                    .snapshot_cache(Some(Arc::clone(&cache)))
+                    .build()
+            })
+            .into();
+        let runs: Vec<ObservedRun> = std::thread::scope(|scope| {
+            let handles: Vec<_> = campaigns
+                .iter()
+                .map(|c| scope.spawn(move || go(c, false).expect("campaign runs")))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("campaign thread"))
+                .collect()
+        });
+        for run in &runs {
+            assert_eq!(run.cache_hits + run.cache_misses, 1, "one lookup per run");
+        }
+        assert_eq!(runs.iter().map(|r| r.cache_hits).sum::<u64>(), 1);
+        assert_eq!(runs.iter().map(|r| r.cache_misses).sum::<u64>(), 1);
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
     #[test]
@@ -1469,8 +1445,7 @@ mod tests {
             .seed(17)
             .plan(loose_ci_spec())
             .build()
-            .run_planned()
-            .expect("uninterrupted planned run");
+            .run();
 
         // Pause after trial 4 — inside round 2 (rounds are 3 trials
         // wide), so resuming must pick the round back up mid-stride.
@@ -1480,7 +1455,7 @@ mod tests {
             .checkpoint(&path, 2)
             .build();
         let run = campaign
-            .run_planned_observed(&mut |p| {
+            .execute(false, &mut |p| {
                 if p.completed == 4 {
                     ProgressSignal::Pause
                 } else {
@@ -1492,7 +1467,7 @@ mod tests {
         assert_eq!(run.completed, 4);
 
         let resumed = campaign
-            .resume_planned_observed(&path, &mut |p| {
+            .execute(true, &mut |p| {
                 assert!(p.completed > 4, "resume must not rerun the prefix");
                 ProgressSignal::Continue
             })
@@ -1512,7 +1487,7 @@ mod tests {
             .seed(19)
             .plan(PlanSpec::split(3))
             .build();
-        match campaign.run_planned() {
+        match go(&campaign, false) {
             Err(PlatformError::InvalidConfig(why)) => {
                 assert!(why.contains("severity"), "{why}");
             }
@@ -1527,26 +1502,31 @@ mod tests {
         let path = dir.join("plain-ckpt-for-planned.json");
         let _ = std::fs::remove_file(&path);
 
-        // A plain (non-planned) paused run writes a checkpoint with no
-        // planner state…
+        // A planned paused run writes a checkpoint with planner state…
         let campaign = Campaign::builder(tiny_config())
             .seed(23)
+            .plan(loose_ci_spec())
             .checkpoint(&path, 2)
             .build();
         let run = campaign
-            .run_observed(&mut |p| {
+            .execute(false, &mut |p| {
                 if p.completed == 2 {
                     ProgressSignal::Pause
                 } else {
                     ProgressSignal::Continue
                 }
             })
-            .expect("paused plain run");
+            .expect("paused planned run");
         assert!(run.paused);
 
-        // …which the planned resume path must refuse rather than
-        // invent planner state for.
-        match campaign.resume_planned_observed(&path, &mut |_| ProgressSignal::Continue) {
+        // …and one that lost it must be refused rather than resumed
+        // with invented planner state.
+        let text = std::fs::read_to_string(&path).expect("checkpoint written");
+        let mut snapshot: CampaignCheckpoint = serde_json::from_str(&text).expect("parses");
+        snapshot.report.plan = None;
+        std::fs::write(&path, serde_json::to_string(&snapshot).expect("serializes"))
+            .expect("rewrite");
+        match go(&campaign, true) {
             Err(PlatformError::Checkpoint(CheckpointError::Corrupt(why))) => {
                 assert!(why.contains("planner state"), "{why}");
             }

@@ -98,9 +98,9 @@ pub(crate) fn campaign_at(trial: TrialConfig, scale: ExperimentScale) -> Campaig
     }
 }
 
-/// Runs one swept point on the work-stealing engine with the scale's
-/// thread count. Both engines reduce in canonical trial order, so this
-/// is byte-identical to a serial run of the same seed.
+/// Runs one swept point on the scale's thread count. Both engines
+/// reduce in canonical trial order, so this is byte-identical to a
+/// serial run of the same seed.
 pub(crate) fn run_point(
     config: CampaignConfig,
     seed: u64,
@@ -108,8 +108,9 @@ pub(crate) fn run_point(
 ) -> crate::campaign::CampaignReport {
     crate::campaign::Campaign::builder(config)
         .seed(seed)
+        .threads(scale.threads)
         .build()
-        .run_stealing(scale.threads)
+        .run()
 }
 
 /// The common trial template all experiments start from (SSD A, ATX rig),

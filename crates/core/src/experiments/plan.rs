@@ -240,17 +240,14 @@ pub fn run(scale: ExperimentScale, seed: u64) -> Result<PlanExpReport, PlatformE
     // 5. The real thing: a planned fault-injection campaign, serial vs
     //    threaded, and a mid-round pause/resume.
     let config = campaign_at(base_trial(), scale);
-    let serial = Campaign::builder(config)
+    let builder = Campaign::builder(config)
         .plan(campaign_ci_spec())
-        .seed(seed)
-        .build()
-        .run_planned()?;
-    let threaded = Campaign::builder(config)
-        .plan(campaign_ci_spec())
-        .seed(seed)
-        .threads(3)
-        .build()
-        .run_planned()?;
+        .seed(seed);
+    let go = |campaign: Campaign, resume| {
+        campaign.execute(resume, &mut |_| ProgressSignal::Continue)
+    };
+    let serial = go(builder.clone().build(), false)?.report;
+    let threaded = go(builder.clone().threads(3).build(), false)?.report;
     let campaign_engines_agree = campaign_bytes(&serial) == campaign_bytes(&threaded);
 
     let dir = std::env::temp_dir().join("pfault-plan-exp");
@@ -258,14 +255,10 @@ pub fn run(scale: ExperimentScale, seed: u64) -> Result<PlanExpReport, PlatformE
         .map_err(|e| PlatformError::InvalidConfig(format!("temp dir for checkpoint: {e}")))?;
     let path = dir.join(format!("plan-exp-{}-{}.json", std::process::id(), seed));
     let _ = std::fs::remove_file(&path);
-    let campaign = Campaign::builder(config)
-        .plan(campaign_ci_spec())
-        .seed(seed)
-        .checkpoint(&path, 2)
-        .build();
+    let campaign = builder.checkpoint(&path, 2).build();
     // Pause after trial 4 — mid-round for the 3-wide rounds — so the
     // resume has to pick the planner back up inside a round.
-    let paused = campaign.run_planned_observed(&mut |p| {
+    let paused = campaign.execute(false, &mut |p| {
         if p.completed == 4 {
             ProgressSignal::Pause
         } else {
@@ -273,9 +266,7 @@ pub fn run(scale: ExperimentScale, seed: u64) -> Result<PlanExpReport, PlatformE
         }
     })?;
     let resumed = if paused.paused {
-        campaign
-            .resume_planned_observed(&path, &mut |_| ProgressSignal::Continue)?
-            .report
+        go(campaign, true)?.report
     } else {
         paused.report.clone()
     };

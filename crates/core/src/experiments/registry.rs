@@ -37,10 +37,10 @@ pub enum EngineArg {
     /// Serial for one thread, work-stealing otherwise.
     #[default]
     Auto,
-    /// The serial trial loop ([`Campaign::run_checked`]); the only engine
-    /// that honours checkpoints.
+    /// The serial trial loop (a campaign on one thread); the only
+    /// engine that honours checkpoints.
     Serial,
-    /// The work-stealing scheduler ([`Campaign::run_stealing`]).
+    /// The work-stealing scheduler (a campaign on more than one thread).
     Stealing,
 }
 
@@ -574,31 +574,22 @@ impl Experiment for CampaignExperiment {
                     .into(),
             ));
         }
-        // `run_planned` steals iff the campaign has more than one thread.
+        // The campaign steals iff it has more than one thread.
         let mut builder = Campaign::builder(config)
             .plan(spec)
             .seed(ctx.seed)
             .retries(o.retries)
-            .threads(if stealing { threads } else { 1 })
-            .snapshot_cache(o.snapshot_cache);
+            .threads(if stealing { threads } else { 1 });
+        if !o.snapshot_cache {
+            builder = builder.snapshot_cache(None);
+        }
         if let Some(path) = &o.checkpoint {
             builder = builder.checkpoint(path, o.checkpoint_every);
         }
-        let campaign = builder.build();
-        // Adaptive plans run in planner rounds; fixed plans keep their
-        // plan-less report.
-        let adaptive = !matches!(spec, PlanSpec::Fixed { .. });
-        let report = match (&o.checkpoint, o.resume) {
-            (Some(path), true) if adaptive => {
-                campaign
-                    .resume_planned_observed(path, &mut |_| ProgressSignal::Continue)?
-                    .report
-            }
-            (Some(path), true) => campaign.resume_from(path)?,
-            _ if adaptive => campaign.run_planned()?,
-            _ if stealing => campaign.run_stealing(threads),
-            _ => campaign.run_checked()?,
-        };
+        let report = builder
+            .build()
+            .execute(o.resume, &mut |_| ProgressSignal::Continue)?
+            .report;
         let mut text = String::new();
         let mut checks = Vec::new();
         let _ = writeln!(text, "== Campaign: {} fault injections ==", report.faults);

@@ -79,7 +79,7 @@ pub use experiments::{EngineArg, Experiment, ExperimentCtx, ExperimentOpts, Expe
 pub use plan::{Interval, PlanEngine, PlanPoint, PlanReport, PlanSpec, PlanState, Planner};
 pub use platform::{TestPlatform, TrialConfig, TrialOutcome, Watchdog};
 pub use scheduler::{SchedulerStats, WorkerStats};
-pub use snapcache::{SnapshotCache, SnapshotCacheBuilder, SnapshotCacheStats, StatsScope};
+pub use snapcache::{SnapshotCache, SnapshotCacheBuilder, SnapshotCacheStats};
 pub use sweep::{
     IoOp, MinimalRepro, Phase, SweepConfig, SweepReport, Sweeper, Violation, ViolationKind,
 };

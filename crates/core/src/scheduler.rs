@@ -72,7 +72,7 @@ impl WorkerStats {
 /// outside [`crate::campaign::CampaignReport`] on purpose: reports
 /// describe *what the trials measured* and must be engine-independent;
 /// this describes *how the engine ran them*.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SchedulerStats {
     /// Worker threads used (after clamping to the trial count).
     pub threads: usize,

@@ -45,7 +45,9 @@ pub struct RecoveryStats {
     /// Batches never reached because replay stopped early (at an
     /// unreadable journal page or after a discarded tear).
     pub batches_truncated: u64,
-    /// Pages adopted by the [`RecoveryPolicy::FullScan`] OOB scan.
+    /// Pages adopted by the
+    /// [`RecoveryPolicy::FullScan`](crate::config::RecoveryPolicy::FullScan)
+    /// OOB scan.
     pub scan_adoptions: u64,
     /// Final size of the rebuilt logical-to-physical map.
     pub map_entries: u64,
@@ -454,10 +456,10 @@ impl Ftl {
     /// replay only the journal batches newer than it. Falls back to older
     /// checkpoints (and ultimately to a full replay) when checkpoint pages
     /// were destroyed by the fault. Under
-    /// [`RecoveryPolicy::FullScan`], the rebuilt map is then
-    /// reconciled against an OOB scan of the whole array: the newest
-    /// readable version of each sector wins, recovering cleanly-programmed
-    /// data whose mapping never committed.
+    /// [`RecoveryPolicy::FullScan`](crate::config::RecoveryPolicy::FullScan),
+    /// the rebuilt map is then reconciled against an OOB scan of the
+    /// whole array: the newest readable version of each sector wins,
+    /// recovering cleanly-programmed data whose mapping never committed.
     pub fn recover_with_checkpoints(
         config: FtlConfig,
         array: &mut FlashArray,

@@ -2,10 +2,10 @@
 //!
 //! Every sector the store writes carries exactly one frame. On the
 //! simulated medium a sector's content is a 64-bit identity tag
-//! ([`pfault_flash::PageData`]), so "serializing" a frame means deriving
+//! ([`pfault_flash::block::PageData`]), so "serializing" a frame means deriving
 //! a collision-resistant tag from its fields, and "parsing" a sector
 //! means looking the tag back up in the codec's table. The device-side
-//! checksum ([`pfault_flash::PageData::is_intact`]) stands in for the
+//! checksum ([`pfault_flash::block::PageData::is_intact`]) stands in for the
 //! per-record CRC: a torn or garbled program fails the CRC and the frame
 //! is rejected, exactly like a real WAL record with a bad checksum.
 //!

@@ -16,6 +16,10 @@
 //!   engine, so trial panics are caught (`catch_unwind`), hung trials
 //!   hit watchdog budgets, and a poisoned snapshot-cache lock recovers;
 //!   one bad trial cannot take the daemon down.
+//! * **One warm-up per configuration** — the daemon owns one
+//!   [`SnapshotCache`] for its whole life and hands it to every campaign
+//!   job, so later jobs on a configuration clone the first job's warm
+//!   image; each job's status row reports its own lookup.
 //! * **Durability** — specs before acks, checkpoints before progress
 //!   events, final reports before done events (see [`crate::spool`]).
 //!   [`Daemon::kill`] (or just dropping the daemon) stops abruptly:
@@ -38,7 +42,7 @@ use pfault_platform::campaign::{
 };
 use pfault_platform::experiments::{self, ExperimentCtx, ExperimentOpts, ExperimentScale};
 use pfault_platform::plan::PlanSpec;
-use pfault_platform::{snapcache, ObsAggregate};
+use pfault_platform::{ObsAggregate, SnapshotCache};
 use pfault_sim::checksum::fnv64;
 
 use crate::frame::{read_frame, FrameError};
@@ -120,6 +124,8 @@ struct Shared {
     killed: AtomicBool,
     accept_stop: AtomicBool,
     active_jobs: AtomicUsize,
+    /// Warm images shared by every campaign job this daemon runs.
+    cache: Arc<SnapshotCache>,
 }
 
 /// Locks a mutex, recovering from poisoning — a connection or worker
@@ -174,6 +180,7 @@ impl Daemon {
             killed: AtomicBool::new(false),
             accept_stop: AtomicBool::new(false),
             active_jobs: AtomicUsize::new(0),
+            cache: Arc::default(),
             config,
         });
         recover_spool(&shared)?;
@@ -335,18 +342,12 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
         j.state = "running".to_string();
         j.trials = spec.trials;
     });
-    // Scoped snapshot-cache stats: the job's report attributes only its
-    // own hits/misses, not the daemon's cumulative drift.
-    let scope = snapcache::scope();
     let outcome = if spec.exp == "campaign" {
         run_campaign_job(shared, id, &spec)
     } else {
         run_registry_job(shared, id, &spec)
     };
-    let cache = scope.delta();
     shared.update_job(id, |j| {
-        j.cache_hits = cache.hits;
-        j.cache_misses = cache.misses;
         match &outcome {
             Ok(true) => j.state = "done".to_string(),
             Ok(false) => j.state = "paused".to_string(),
@@ -419,7 +420,8 @@ pub fn campaign_for(spec: &JobSpec) -> Result<CampaignBuilder, String> {
     Ok(builder)
 }
 
-/// The daemon-side campaign: `campaign_for` plus the spool checkpoint.
+/// The daemon-side campaign: `campaign_for` plus the spool checkpoint
+/// and the daemon's snapshot cache.
 fn spooled_campaign(shared: &Shared, id: u64, spec: &JobSpec) -> Result<Campaign, String> {
     let every = if spec.checkpoint_every > 0 {
         spec.checkpoint_every
@@ -428,16 +430,14 @@ fn spooled_campaign(shared: &Shared, id: u64, spec: &JobSpec) -> Result<Campaign
     };
     Ok(campaign_for(spec)?
         .checkpoint(shared.spool.checkpoint_path(id), every)
+        .snapshot_cache(Some(Arc::clone(&shared.cache)))
         .build())
 }
 
-/// Trial totals of a finished job: the spec's count for classic jobs,
-/// the report's absorbed-fault count for adaptive ones — the planner,
-/// not the spec, decided when the run was done.
+/// Trial totals of a finished job: the report's absorbed-fault count.
+/// For a fixed-size job that is the spec's count; for an adaptive one
+/// the planner, not the spec, decided when the run was done.
 fn done_totals(spec: &JobSpec, report_json: &str) -> u64 {
-    if spec.plan.is_none() {
-        return spec.trials;
-    }
     serde_json::from_str::<serde_json::Value>(report_json)
         .ok()
         .and_then(|v| v.as_object().and_then(|o| o.get("faults").cloned()))
@@ -473,14 +473,13 @@ fn run_campaign_job(shared: &Arc<Shared>, id: u64, spec: &JobSpec) -> Result<boo
         return Ok(true);
     }
     let campaign = spooled_campaign(shared, id, spec)?;
-    let ckpt_path = spool.checkpoint_path(id);
     let resume = spool.has_checkpoint(id);
     let mut next_seq = if resume {
         // Crash window: the checkpoint may be one announcement ahead of
         // the journal. Re-synthesize the missing record from the
         // checkpoint itself before streaming anything new.
         let (completed, report) = campaign
-            .checkpoint_snapshot(&ckpt_path)
+            .checkpoint_snapshot(spool.checkpoint_path(id))
             .map_err(|e| e.to_string())?;
         let report_json = serde_json::to_string(&report).map_err(|e| e.to_string())?;
         spool
@@ -531,32 +530,23 @@ fn run_campaign_job(shared: &Arc<Shared>, id: u64, spec: &JobSpec) -> Result<boo
             ProgressSignal::Continue
         }
     };
-    // The plan field picks the engine: planned jobs run (and resume)
-    // through the planner so round extension and convergence stopping
-    // replay byte-identically across daemon restarts.
-    let run = if spec.plan.is_some() {
-        if resume {
-            campaign.resume_planned_observed(&ckpt_path, &mut observer)
-        } else {
-            campaign.run_planned_observed(&mut observer)
-        }
-    } else if resume {
-        campaign.resume_observed(&ckpt_path, &mut observer)
-    } else {
-        campaign.run_observed(&mut observer)
-    }
-    .map_err(|e| e.to_string())?;
+    // An adaptive plan runs (and resumes) through the planner, so round
+    // extension and convergence stopping replay byte-identically across
+    // daemon restarts.
+    let run = campaign
+        .execute(resume, &mut observer)
+        .map_err(|e| e.to_string())?;
+    shared.update_job(id, |j| {
+        j.cache_hits = run.cache_hits;
+        j.cache_misses = run.cache_misses;
+    });
 
     if run.paused {
         return Ok(false);
     }
     let report_json = serde_json::to_string(&run.report).map_err(|e| e.to_string())?;
     spool.write_done(id, &report_json).map_err(|e| e.to_string())?;
-    let total = if spec.plan.is_some() {
-        run.completed
-    } else {
-        spec.trials
-    };
+    let total = run.completed;
     spool
         .append_event(&JobEvent {
             job: id,

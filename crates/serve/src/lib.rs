@@ -22,8 +22,9 @@
 //! * [`daemon`] — the TCP service: bounded job queue with explicit
 //!   `Busy` backpressure, per-connection read/write deadlines with idle
 //!   heartbeats, per-job panic isolation (the platform campaign
-//!   engine's `catch_unwind` + watchdog), snapshot-cache sharing with
-//!   per-job stats attribution, and drain-then-exit shutdown;
+//!   engine's `catch_unwind` + watchdog), one snapshot cache shared by
+//!   every job with each job's own lookup in its status row, and
+//!   drain-then-exit shutdown;
 //! * [`client`] — a blocking client with exponential backoff + jitter,
 //!   used by the `repro servectl` subcommand;
 //! * [`selfcheck`] — the `serve` experiment: an end-to-end

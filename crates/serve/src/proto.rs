@@ -32,22 +32,23 @@ pub struct JobSpec {
     pub trials: u64,
     /// Requests per trial (campaign jobs).
     pub requests_per_trial: u64,
-    /// Warm-up requests cloned from the shared snapshot cache (0 =
+    /// Warm-up requests cloned from the daemon's snapshot cache (0 =
     /// cold device per trial).
     pub warmup: u64,
     /// Collect probe telemetry so `metrics` serves a live aggregate.
     pub obs: bool,
     /// Trials between durable checkpoints (0 = daemon default).
     pub checkpoint_every: u64,
-    /// Adaptive sizing: when set, campaign jobs run under the planner
-    /// ([`Campaign::run_planned_observed`]) — rounds extend or stop the
-    /// run by interval convergence, planner state checkpoints and
-    /// resumes with the report, and `status` rows carry the convergence
-    /// line. `None` keeps the classic fixed-`trials` loop. Splitting
-    /// specs are rejected at submit time: whole campaigns expose only
-    /// pass/fail bits, not severities.
+    /// How the campaign is sized, passed to [`CampaignBuilder::plan`].
+    /// An adaptive spec runs the job under the planner — rounds extend
+    /// or stop the run by interval convergence, planner state
+    /// checkpoints and resumes with the report, and `status` rows carry
+    /// the convergence line. `fixed:N` runs N trials with a plan-less
+    /// report, like `None`, which runs the classic fixed-`trials` loop.
+    /// Splitting specs are rejected at submit time: whole campaigns
+    /// expose only pass/fail bits, not severities.
     ///
-    /// [`Campaign::run_planned_observed`]: pfault_platform::campaign::Campaign::run_planned_observed
+    /// [`CampaignBuilder::plan`]: pfault_platform::campaign::CampaignBuilder::plan
     pub plan: Option<PlanSpec>,
 }
 
@@ -122,10 +123,10 @@ pub struct JobInfo {
     pub trials: u64,
     /// Result-journal records written so far.
     pub events: u64,
-    /// Snapshot-cache hits attributed to this job (scoped stats, not
-    /// process-wide drift).
+    /// 1 if this job's last run cloned its warm image from the daemon's
+    /// snapshot cache, else 0.
     pub cache_hits: u64,
-    /// Snapshot-cache misses attributed to this job.
+    /// 1 if this job's last run had to build its warm image, else 0.
     pub cache_misses: u64,
     /// Planner convergence line (round, n, p̂, interval) for jobs
     /// running under an adaptive plan; empty for classic fixed jobs.

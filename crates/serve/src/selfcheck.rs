@@ -23,6 +23,7 @@ use std::collections::BTreeSet;
 use std::fmt::Write as _;
 use std::io::Write as _;
 
+use pfault_platform::campaign::{Campaign, CampaignReport, ProgressSignal};
 use pfault_platform::experiments::{Experiment, ExperimentCtx, ExperimentReport};
 use pfault_platform::PlatformError;
 
@@ -104,6 +105,14 @@ fn scratch_dir(name: &str, seed: u64) -> std::path::PathBuf {
     dir
 }
 
+/// The uninterrupted reference: the job's campaign run in-process.
+fn run_locally(campaign: Campaign) -> Result<CampaignReport, String> {
+    campaign
+        .execute(false, &mut |_| ProgressSignal::Continue)
+        .map(|run| run.report)
+        .map_err(|e| e.to_string())
+}
+
 fn fail(failures: &mut Vec<String>, msg: impl Into<String>) {
     failures.push(msg.into());
 }
@@ -118,7 +127,7 @@ fn run_selfcheck(seed: u64) -> Outcome {
     // -- Reference: the same spec run locally, uninterrupted. ---------
     let reference = campaign_for(&spec)
         .map_err(|e| e.to_string())
-        .and_then(|c| c.build().run_checked().map_err(|e| e.to_string()))
+        .and_then(|c| run_locally(c.build()))
         .and_then(|r| serde_json::to_string(&r).map_err(|e| e.to_string()));
     let reference = match reference {
         Ok(json) => json,
@@ -417,14 +426,14 @@ fn run_selfcheck(seed: u64) -> Outcome {
 
     // -- Phase 4: an adaptive (planned) job end-to-end. ---------------
     // Same spec, two runners: the daemon's planned path must land on
-    // the same bytes as a local `run_planned`, and the status row must
+    // the same bytes as a local run, and the status row must
     // surface the planner's convergence line.
     let spool_p = scratch_dir("plan", seed);
     let mut adaptive_matches = false;
     let mut adaptive_convergence = false;
     let adaptive_spec = JobSpec::tiny_adaptive(seed ^ 7);
     let adaptive_reference = campaign_for(&adaptive_spec)
-        .and_then(|c| c.build().run_planned().map_err(|e| e.to_string()))
+        .and_then(|c| run_locally(c.build()))
         .and_then(|r| serde_json::to_string(&r).map_err(|e| e.to_string()));
     match (adaptive_reference, Daemon::start(DaemonConfig::new(&spool_p))) {
         (Ok(reference), Ok(daemon)) => {
@@ -448,7 +457,7 @@ fn run_selfcheck(seed: u64) -> Outcome {
                             if !adaptive_matches {
                                 fail(
                                     &mut failures,
-                                    "adaptive report differs from local run_planned".to_string(),
+                                    "adaptive report differs from the local run".to_string(),
                                 );
                             }
                         }
@@ -474,11 +483,11 @@ fn run_selfcheck(seed: u64) -> Outcome {
             }
             daemon.kill();
         }
-        (Err(e), _) => fail(&mut failures, format!("local run_planned failed: {e}")),
+        (Err(e), _) => fail(&mut failures, format!("local adaptive run failed: {e}")),
         (_, Err(e)) => fail(&mut failures, format!("daemon D failed to start: {e}")),
     }
     log.push(format!(
-        "adaptive: matched local run_planned = {adaptive_matches}, convergence line = {adaptive_convergence}"
+        "adaptive: matched local run = {adaptive_matches}, convergence line = {adaptive_convergence}"
     ));
 
     let _ = std::fs::remove_dir_all(&spool);

@@ -27,8 +27,7 @@ fn reference_report(spec: &JobSpec) -> String {
     let report = campaign_for(spec)
         .expect("spec builds a campaign")
         .build()
-        .run_checked()
-        .expect("reference run succeeds");
+        .run();
     serde_json::to_string(&report).expect("report serializes")
 }
 

@@ -14,7 +14,8 @@ fn main() {
     config.trials = 20; // twenty fault injections
     config.requests_per_trial = 60;
 
-    let report = Campaign::builder(config).seed(42).build().run_stealing(4);
+    // Four worker threads; the report is the same on any thread count.
+    let report = Campaign::builder(config).seed(42).threads(4).build().run();
 
     println!("faults injected:        {}", report.faults);
     println!("requests issued:        {}", report.requests_issued);

@@ -174,31 +174,25 @@ fn engines_and_snapshotting_agree_byte_for_byte() {
         let baseline = bytes(
             &Campaign::builder(config)
                 .seed(seed)
-                .snapshot_cache(false)
+                .snapshot_cache(None)
                 .build()
                 .run(),
         );
-        let cached = Campaign::builder(config).seed(seed).build();
-        assert_eq!(
-            bytes(&cached.run()),
-            baseline,
-            "{vendor:?}: snapshot cloning changed the serial report"
-        );
-        assert_eq!(
-            bytes(&cached.run_stealing(2)),
-            baseline,
-            "{vendor:?}: work-stealing on 2 threads changed the report"
-        );
-        assert_eq!(
-            bytes(&cached.run_stealing(3)),
-            baseline,
-            "{vendor:?}: work-stealing engine changed the report"
-        );
+        // Clones of one builder share its snapshot cache.
+        let cached = Campaign::builder(config).seed(seed);
+        for threads in [1, 2, 3] {
+            assert_eq!(
+                bytes(&cached.clone().threads(threads).build().run()),
+                baseline,
+                "{vendor:?}: snapshot cloning on {threads} thread(s) changed the report"
+            );
+        }
         let uncached_stealing = Campaign::builder(config)
             .seed(seed)
-            .snapshot_cache(false)
+            .snapshot_cache(None)
+            .threads(3)
             .build()
-            .run_stealing(3);
+            .run();
         assert_eq!(
             bytes(&uncached_stealing),
             baseline,
@@ -214,7 +208,7 @@ fn oversubscribed_threads_are_harmless() {
     let config = campaign_config(VendorPreset::SsdC, 8, false);
     let campaign = Campaign::builder(config).seed(99).build();
     let baseline = bytes(&campaign.run());
-    assert_eq!(bytes(&campaign.run_stealing(9)), baseline);
+    assert_eq!(bytes(&campaign.run_stealing_with_stats(9).0), baseline);
     let (report, stats) = campaign.run_stealing_with_stats(64);
     assert_eq!(bytes(&report), baseline);
     assert_eq!(stats.threads, config.trials, "threads clamp to trial count");

@@ -166,7 +166,7 @@ proptest! {
                 .seed(seed)
                 .plan(loose_ci())
         };
-        let golden = builder().build().run_planned().expect("uninterrupted planned run");
+        let golden = builder().build().run();
         let golden = serde_json::to_string(&golden).expect("report serializes");
 
         let dir = std::env::temp_dir().join("pfault-prop-plan");
@@ -178,7 +178,7 @@ proptest! {
         let _ = std::fs::remove_file(&ckpt);
         let campaign = builder().checkpoint(&ckpt, 2).build();
         let run = campaign
-            .run_planned_observed(&mut |p| {
+            .execute(false, &mut |p| {
                 if p.completed == pause {
                     ProgressSignal::Pause
                 } else {
@@ -188,7 +188,7 @@ proptest! {
             .expect("paused planned run");
         prop_assert!(run.paused, "pause at {pause} must interrupt a >=9-trial run");
         let resumed = campaign
-            .resume_planned_observed(&ckpt, &mut |_| ProgressSignal::Continue)
+            .execute(true, &mut |_| ProgressSignal::Continue)
             .expect("resumed planned run")
             .report;
         let resumed = serde_json::to_string(&resumed).expect("report serializes");
