@@ -36,7 +36,7 @@
 #   make plan-smoke — adaptive-planner gate (<60 s): the plan
 #                  experiment exits non-zero unless the adaptive run
 #                  matches the fixed baseline's confidence bands at
-#                  ≥10x fewer trials, all engines reduce byte-equally,
+#                  ≥10x fewer trials, two worker counts reduce byte-equally,
 #                  and planned pause/resume is byte-identical; cmp
 #                  enforces deterministic same-seed reports
 #   make golden  — refactor-invariance gate: recomputes every row of
@@ -113,8 +113,8 @@ recovery-smoke: build
 # Self-checking: an explicit fleet run exits non-zero unless correlated
 # cuts lose strictly more stripes (and MTTDL) than the same victim count
 # applied independently, degraded reads and rebuild interruptions
-# happened, every loss is cause-attributed, and the serial/stealing
-# reductions agree bit-for-bit (see crates/core/src/experiments/fleet.rs).
+# happened, every loss is cause-attributed, and two worker counts agree
+# bit-for-bit on the first row (see crates/core/src/experiments/fleet.rs).
 # cmp enforces byte-identical same-seed reports; the targeted proptest run
 # asserts data loss occurs iff more than k chunks of a stripe are wiped.
 fleet-smoke: build
@@ -126,8 +126,8 @@ fleet-smoke: build
 # Self-checking: an explicit kv run exits non-zero unless every
 # divergence class occurred somewhere in the sweep, the half-applying
 # firmware silently poisoned strictly more than the CRC-verifying
-# firmware at equal seeds, journal batches actually tore, and the
-# serial/stealing reductions agree bit-for-bit (see
+# firmware at equal seeds, journal batches actually tore, and two worker
+# counts agree bit-for-bit on the first row (see
 # crates/core/src/experiments/kv.rs). cmp enforces byte-identical
 # same-seed reports; the targeted test pins the seeded silent-poison
 # reproduction in the store crate itself.
@@ -144,8 +144,8 @@ serve-smoke: build
 	./target/release/repro --exp serve --seed 11
 
 # Self-checking: the plan experiment exits non-zero unless the ≥10x
-# trial-saving, engine byte-equality, splitting determinism, and
-# planned resume properties all held (see
+# trial-saving, two worker counts agreeing byte for byte, splitting
+# determinism, and planned resume properties all held (see
 # crates/core/src/experiments/plan.rs); cmp enforces byte-identical
 # same-seed reports.
 plan-smoke: build

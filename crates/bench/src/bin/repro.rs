@@ -30,15 +30,22 @@
 //! nonzero if the experiment reports check failures (for example,
 //! `--exp recovery-storm` requires interrupted, resumed, and read-only
 //! outcomes; `--exp fleet` requires correlated cuts to degrade MTTDL
-//! below the independent baseline with bit-identical engine reductions;
-//! `--exp sweep` requires a clean baseline sweep and a caught seeded
-//! bug). Under `--exp all` the same checks are informational.
+//! below the independent baseline, and its first row to reproduce
+//! bit-for-bit on another worker count; `--exp sweep` requires a clean
+//! baseline sweep and a caught seeded bug). Under `--exp all` the same
+//! checks are informational.
+//!
+//! `--engine` and `--threads` set the worker count of the figure and
+//! extension sweeps and of `--exp campaign` (`ExperimentOpts::workers`):
+//! `--engine serial` is one worker on the main thread, otherwise
+//! `--threads N` workers, defaulting to the scale's count for the sweeps
+//! and to one for `--exp campaign`. Every experiment folds its trials in
+//! canonical order, so reports are byte-identical at every worker count.
 //!
 //! `--exp campaign` runs one raw fault-injection campaign with the
 //! resilience controls: per-trial watchdog budgets, deterministic
-//! retries, checkpoint/resume, engine selection (`--engine`,
-//! `--threads`), and warm-snapshot cloning (`--warmup`,
-//! `--snapshot-cache`). Campaigns are sized by a [`PlanSpec`]:
+//! retries, checkpoint/resume (one worker only), and warm-snapshot
+//! cloning (`--warmup`, `--snapshot-cache`). Campaigns are sized by a [`PlanSpec`]:
 //! `--trials N` is shorthand for `--plan fixed:N`, and
 //! `--plan ci:EPS[:CONF]` runs adaptively until the Wilson interval on
 //! the data-loss rate has half-width at most EPS. `--exp plan` is the
@@ -188,11 +195,15 @@ fn main() -> ExitCode {
                      planner: confidence-driven\n\
                      stopping must match a fixed-N campaign's band at >=10x fewer \
                      trials, byte-identical across\n\
-                     engines and checkpoint/resume\n\
+                     worker counts and checkpoint/resume\n\
+                     --engine/--threads set the worker count of the figure and \
+                     extension sweeps and of campaign mode:\n\
+                     serial is one, otherwise --threads (default: the scale's count, \
+                     1 for campaign); same report at any count\n\
                      campaign mode (--exp campaign, not part of 'all') runs one raw \
                      campaign with watchdog budgets,\n\
-                     deterministic retries, checkpoint/resume, --engine/--threads \
-                     selection, and --warmup snapshot cloning;\n\
+                     deterministic retries, checkpoint/resume (one worker), and \
+                     --warmup snapshot cloning;\n\
                      sized by --plan fixed:N|ci:EPS[:CONF] (--trials N = --plan \
                      fixed:N)\n\
                      sweep mode (--exp sweep, not part of 'all') cuts power at every \

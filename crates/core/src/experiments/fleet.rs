@@ -20,9 +20,9 @@
 //! degraded from the first.
 //!
 //! Every trial is a pure function of `(config, seed)` with integer-only
-//! tallies, so the report is byte-identical across the serial and
-//! work-stealing engines — asserted at run time by re-reducing one
-//! point on both.
+//! tallies, so the report is byte-identical at every worker count —
+//! asserted at run time by re-running the first point on a different
+//! worker count and comparing it with the report's first row.
 
 use std::fmt::Write as _;
 
@@ -32,7 +32,7 @@ use pfault_fleet::{FleetConfig, FleetSim, FleetTally};
 use pfault_obs::Metrics;
 use pfault_sim::checksum::mix64;
 
-use crate::experiments::{EngineArg, ExperimentScale};
+use crate::experiments::ExperimentScale;
 use crate::report::Table;
 
 /// Everything accumulated for one swept point: the fleet tally plus the
@@ -63,7 +63,7 @@ impl PointAgg {
 }
 
 /// One swept point of the fleet experiment.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct FleetRow {
     /// Devices sharing one PSU (victims per outage event).
     pub psu_group: usize,
@@ -194,23 +194,10 @@ fn run_trial(config: &FleetConfig, seed: u64) -> PointAgg {
     }
 }
 
-/// Reduces `trials` trials of one point on the chosen engine. Both engines
-/// absorb results in canonical trial order, so the aggregate is
-/// byte-identical regardless of engine or thread count.
-pub fn run_point(
-    config: &FleetConfig,
-    point_seed: u64,
-    trials: u64,
-    threads: usize,
-    engine: EngineArg,
-) -> PointAgg {
-    if !engine.steals(threads) {
-        let mut acc = PointAgg::default();
-        for i in 0..trials {
-            acc.merge(&run_trial(config, mix64(point_seed, i)));
-        }
-        return acc;
-    }
+/// Reduces `trials` trials of one point on `threads` workers. Results
+/// are absorbed in canonical trial order, so the aggregate is
+/// byte-identical at every worker count.
+pub fn run_point(config: &FleetConfig, point_seed: u64, trials: u64, threads: usize) -> PointAgg {
     let (acc, _stats) = crate::scheduler::run_work_stealing(
         trials,
         threads,
@@ -222,47 +209,69 @@ pub fn run_point(
     acc
 }
 
-/// Runs the fleet sweep at the given scale with the given engine.
-pub fn run(scale: ExperimentScale, seed: u64, engine: EngineArg) -> FleetReport {
+/// One swept point: its fleet, trial-seed root and trial count.
+struct FleetPoint {
+    config: FleetConfig,
+    seed: u64,
+    trials: u64,
+}
+
+impl FleetPoint {
+    /// The report row for the point's merged tally.
+    fn row(&self, t: &FleetTally) -> FleetRow {
+        FleetRow {
+            psu_group: self.config.psu_group,
+            parity: self.config.parity_chunks,
+            correlated: self.config.correlated,
+            trials: self.trials,
+            devices_cut: t.devices_cut,
+            availability: t.availability(),
+            durability: t.durability(),
+            mttdl_hours: t.mttdl_hours(),
+            stripes_lost: t.stripe_loss_events,
+            degraded_reads: t.degraded_reads,
+            rebuilds_interrupted: t.rebuilds_interrupted,
+            loss_fwa: t.loss_chunks_stale,
+            loss_torn: t.loss_chunks_garbled,
+            loss_missing: t.loss_chunks_missing,
+        }
+    }
+}
+
+/// Every swept point in report order, sized by `scale` and seeded from
+/// `seed`.
+fn grid(scale: ExperimentScale, seed: u64) -> Vec<FleetPoint> {
     let trials = (scale.faults_per_point as u64 / 10).max(2);
-    let mut rows = Vec::new();
-    let mut counts = crate::analyzer::FailureCounts::default();
-    let mut point = 0u64;
+    let mut points = Vec::new();
     for &parity in &[1usize, 2] {
         for &psu_group in &[1usize, 4] {
             for &correlated in &[true, false] {
+                let seed = mix64(seed, 0x464C_5054 ^ points.len() as u64);
                 let config = point_config(psu_group, parity, correlated);
-                let point_seed = mix64(seed, 0x464C_5054 ^ point);
-                let agg = run_point(&config, point_seed, trials, scale.threads, engine);
-                let t = &agg.tally;
-                rows.push(FleetRow {
-                    psu_group,
-                    parity,
-                    correlated,
-                    trials,
-                    devices_cut: t.devices_cut,
-                    availability: t.availability(),
-                    durability: t.durability(),
-                    mttdl_hours: t.mttdl_hours(),
-                    stripes_lost: t.stripe_loss_events,
-                    degraded_reads: t.degraded_reads,
-                    rebuilds_interrupted: t.rebuilds_interrupted,
-                    loss_fwa: t.loss_chunks_stale,
-                    loss_torn: t.loss_chunks_garbled,
-                    loss_missing: t.loss_chunks_missing,
-                });
-                counts.stripes_lost += t.stripe_loss_events;
-                counts.degraded_reads += t.degraded_reads;
-                counts.rebuilds_interrupted += t.rebuilds_interrupted;
-                point += 1;
+                points.push(FleetPoint { config, seed, trials });
             }
         }
+    }
+    points
+}
+
+/// Runs the fleet sweep at the given scale, on `scale.threads` workers.
+pub fn run(scale: ExperimentScale, seed: u64) -> FleetReport {
+    let mut rows = Vec::new();
+    let mut counts = crate::analyzer::FailureCounts::default();
+    for p in grid(scale, seed) {
+        let t = run_point(&p.config, p.seed, p.trials, scale.threads).tally;
+        rows.push(p.row(&t));
+        counts.stripes_lost += t.stripe_loss_events;
+        counts.degraded_reads += t.degraded_reads;
+        counts.rebuilds_interrupted += t.rebuilds_interrupted;
     }
     FleetReport { rows, counts }
 }
 
-/// Self-checks for an explicit `--exp fleet` run. Returns the list of
-/// violated expectations (empty = the run vouches for itself).
+/// Self-checks for an explicit `--exp fleet` run of `run(scale, seed)`.
+/// Returns the list of violated expectations (empty = the run vouches
+/// for itself).
 pub fn check(report: &FleetReport, scale: ExperimentScale, seed: u64) -> Vec<String> {
     let mut checks = Vec::new();
 
@@ -324,20 +333,20 @@ pub fn check(report: &FleetReport, scale: ExperimentScale, seed: u64) -> Vec<Str
         );
     }
 
-    // Engine independence, re-proven on this run's first point: the
-    // serial and work-stealing reductions must agree bit-for-bit.
-    let trials = (scale.faults_per_point as u64 / 10).max(2);
-    let config = point_config(1, 1, true);
-    let point_seed = mix64(seed, 0x464C_5054);
-    let serial = run_point(&config, point_seed, trials, 1, EngineArg::Serial);
-    let stealing = run_point(&config, point_seed, trials, 2, EngineArg::Stealing);
-    if serial != stealing {
-        checks.push("fleet smoke failed: serial and stealing engines diverged".into());
+    // Worker-count independence, re-proven against the report itself:
+    // the first point re-run on another worker count must reproduce row 0.
+    let workers = if scale.threads == 1 { 2 } else { 1 };
+    let point = &grid(scale, seed)[0];
+    let rerun = run_point(&point.config, point.seed, point.trials, workers);
+    if report.rows.first() != Some(&point.row(&rerun.tally)) {
+        checks.push(format!(
+            "fleet smoke failed: point 0 re-run on {workers} worker(s) differs from the report's row 0"
+        ));
     }
     // And the obs pipeline must agree with the integer tallies.
-    if serial.obs_degraded != serial.tally.degraded_reads
-        || serial.obs_lost != serial.tally.stripe_loss_events
-        || serial.obs_interrupted != serial.tally.rebuilds_interrupted
+    if rerun.obs_degraded != rerun.tally.degraded_reads
+        || rerun.obs_lost != rerun.tally.stripe_loss_events
+        || rerun.obs_interrupted != rerun.tally.rebuilds_interrupted
     {
         checks.push("fleet smoke failed: probe-derived counters diverge from tallies".into());
     }
@@ -379,27 +388,39 @@ mod tests {
         }
     }
 
+    fn on(threads: usize) -> ExperimentScale {
+        ExperimentScale { threads, ..tiny() }
+    }
+
     #[test]
     fn same_seed_fleet_reports_are_byte_identical_across_engines() {
-        // Serial and stealing engines at two thread counts — and plain
-        // reruns — must all produce byte-identical reports.
-        let a = run(tiny(), 777, EngineArg::Serial);
-        let wider = ExperimentScale {
-            threads: 3,
-            ..tiny()
-        };
-        let b = run(wider, 777, EngineArg::Stealing);
-        let c = run(tiny(), 777, EngineArg::Stealing);
-        let d = run(tiny(), 777, EngineArg::Serial);
+        // One, two and three workers — and a plain rerun — must all
+        // produce byte-identical reports.
+        let a = run(on(1), 777);
         let json = |r: &FleetReport| serde_json::to_string(r).expect("serializes");
-        assert_eq!(json(&a), json(&b), "serial vs stealing on 3 threads");
-        assert_eq!(json(&a), json(&c), "serial vs stealing");
-        assert_eq!(json(&a), json(&d), "rerun");
+        assert_eq!(json(&a), json(&run(on(2), 777)), "1 vs 2 workers");
+        assert_eq!(json(&a), json(&run(on(3), 777)), "1 vs 3 workers");
+        assert_eq!(json(&a), json(&run(on(1), 777)), "rerun");
+    }
+
+    #[test]
+    fn self_check_compares_the_rerun_with_the_reported_row() {
+        for threads in [1, 2] {
+            let report = run(on(threads), 42);
+            assert!(check(&report, on(threads), 42).is_empty());
+            let mut edited = report.clone();
+            edited.rows[0].degraded_reads += 1;
+            let failures = check(&edited, on(threads), 42);
+            assert!(
+                failures.iter().any(|f| f.contains("row 0")),
+                "an edited row 0 must fail the check on {threads} worker(s): {failures:?}"
+            );
+        }
     }
 
     #[test]
     fn correlated_points_degrade_mttdl_and_self_checks_pass() {
-        let report = run(tiny(), 42, EngineArg::Auto);
+        let report = run(tiny(), 42);
         let failures = check(&report, tiny(), 42);
         assert!(
             failures.is_empty(),
@@ -412,7 +433,7 @@ mod tests {
 
     #[test]
     fn report_renders_with_unbounded_mttdl() {
-        let report = run(tiny(), 99, EngineArg::Serial);
+        let report = run(tiny(), 99);
         let text = render(&report);
         assert!(text.contains("Extension L"));
         assert!(

@@ -18,9 +18,9 @@
 //! recovery on a new seal over stale value sectors.
 //!
 //! Every trial is a pure function of `(config, seed)` with integer-only
-//! tallies, so the report is byte-identical across the serial and
-//! work-stealing engines — asserted at run time by re-reducing one
-//! point on both.
+//! tallies, so the report is byte-identical at every worker count —
+//! asserted at run time by re-running the first point on a different
+//! worker count and comparing it with the report's first row.
 
 use std::fmt::Write as _;
 
@@ -31,7 +31,7 @@ use pfault_obs::{Metrics, ProbeEvent};
 use pfault_sim::checksum::mix64;
 use pfault_ssd::VendorPreset;
 
-use crate::experiments::{EngineArg, ExperimentScale};
+use crate::experiments::ExperimentScale;
 use crate::report::Table;
 
 /// Integer tally of one firmware arm across a point's trials.
@@ -235,24 +235,16 @@ fn run_trial(loose: &KvTrialConfig, strict: &KvTrialConfig, seed: u64) -> KvPoin
     agg
 }
 
-/// Reduces `trials` paired trials of one point on the chosen engine. Both
-/// engines absorb results in canonical trial order, so the
-/// aggregate is byte-identical regardless of engine or thread count.
+/// Reduces `trials` paired trials of one point on `threads` workers.
+/// Results are absorbed in canonical trial order, so the aggregate is
+/// byte-identical at every worker count.
 pub fn run_point(
     loose: &KvTrialConfig,
     strict: &KvTrialConfig,
     point_seed: u64,
     trials: u64,
     threads: usize,
-    engine: EngineArg,
 ) -> KvPointAgg {
-    if !engine.steals(threads) {
-        let mut acc = KvPointAgg::default();
-        for i in 0..trials {
-            acc.merge(&run_trial(loose, strict, mix64(point_seed, i)));
-        }
-        return acc;
-    }
     let (acc, _stats) = crate::scheduler::run_work_stealing(
         trials,
         threads,
@@ -274,53 +266,77 @@ pub fn run_point(
 /// stale.
 const PHASES: [u64; 2] = [250, 850];
 
-fn point_configs(
+/// One swept point: its coordinates, trial-seed root and trial count.
+struct KvPoint {
     preset: VendorPreset,
     cache: bool,
     phase: u64,
     kind: KvWorkloadKind,
-) -> (KvTrialConfig, KvTrialConfig) {
-    let loose = KvTrialConfig::standard(preset, cache, false, kind, phase);
-    let strict = KvTrialConfig::standard(preset, cache, true, kind, phase);
-    (loose, strict)
+    seed: u64,
+    trials: u64,
 }
 
-/// Runs the Extension M sweep at the given scale with the given engine.
-pub fn run(scale: ExperimentScale, seed: u64, engine: EngineArg) -> KvReport {
+impl KvPoint {
+    /// Reduces the point's paired trials on `threads` workers.
+    fn run(&self, threads: usize) -> KvPointAgg {
+        let arm = |verify| {
+            KvTrialConfig::standard(self.preset, self.cache, verify, self.kind, self.phase)
+        };
+        run_point(&arm(false), &arm(true), self.seed, self.trials, threads)
+    }
+}
+
+/// Every swept point in report order, sized by `scale` and seeded from
+/// `seed`.
+fn grid(scale: ExperimentScale, seed: u64) -> Vec<KvPoint> {
     let trials = (scale.faults_per_point as u64 / 5).max(6);
     let kinds = KvWorkloadKind::all();
-    let mut rows = Vec::new();
-    let mut counts = crate::analyzer::FailureCounts::default();
-    let mut point = 0u64;
+    let mut points = Vec::new();
     for &preset in &[VendorPreset::SsdA, VendorPreset::SsdB, VendorPreset::SsdC] {
         for &cache in &[true, false] {
             for &phase in &PHASES {
-                let kind = kinds[point as usize % kinds.len()];
-                let (loose, strict) = point_configs(preset, cache, phase, kind);
-                let point_seed = mix64(seed, 0x4B56_4150 ^ point);
-                let agg = run_point(&loose, &strict, point_seed, trials, scale.threads, engine);
-                counts.app_surfaced += agg.loose.surfaced + agg.strict.surfaced;
-                counts.app_masked += agg.loose.masked + agg.strict.masked;
-                counts.app_silent_poison += agg.loose.silent_poison + agg.strict.silent_poison;
-                counts.read_only_devices += agg.loose.read_only + agg.strict.read_only;
-                rows.push(KvRow {
-                    vendor: vendor_label(preset).to_string(),
+                let point = points.len() as u64;
+                points.push(KvPoint {
+                    preset,
                     cache,
                     phase,
-                    workload: kind.label().to_string(),
-                    trials: agg.trials,
-                    loose: agg.loose,
-                    strict: agg.strict,
+                    kind: kinds[point as usize % kinds.len()],
+                    seed: mix64(seed, 0x4B56_4150 ^ point),
+                    trials,
                 });
-                point += 1;
             }
         }
+    }
+    points
+}
+
+/// Runs the Extension M sweep at the given scale, on `scale.threads`
+/// workers.
+pub fn run(scale: ExperimentScale, seed: u64) -> KvReport {
+    let mut rows = Vec::new();
+    let mut counts = crate::analyzer::FailureCounts::default();
+    for p in grid(scale, seed) {
+        let agg = p.run(scale.threads);
+        counts.app_surfaced += agg.loose.surfaced + agg.strict.surfaced;
+        counts.app_masked += agg.loose.masked + agg.strict.masked;
+        counts.app_silent_poison += agg.loose.silent_poison + agg.strict.silent_poison;
+        counts.read_only_devices += agg.loose.read_only + agg.strict.read_only;
+        rows.push(KvRow {
+            vendor: vendor_label(p.preset).to_string(),
+            cache: p.cache,
+            phase: p.phase,
+            workload: p.kind.label().to_string(),
+            trials: agg.trials,
+            loose: agg.loose,
+            strict: agg.strict,
+        });
     }
     KvReport { rows, counts }
 }
 
-/// Self-checks for an explicit `--exp kv` run. Returns the list of
-/// violated expectations (empty = the run vouches for itself).
+/// Self-checks for an explicit `--exp kv` run of `run(scale, seed)`.
+/// Returns the list of violated expectations (empty = the run vouches
+/// for itself).
 pub fn check(report: &KvReport, scale: ExperimentScale, seed: u64) -> Vec<String> {
     let mut checks = Vec::new();
 
@@ -353,23 +369,22 @@ pub fn check(report: &KvReport, scale: ExperimentScale, seed: u64) -> Vec<String
         checks.push("kv smoke failed: no journal batch was ever torn".into());
     }
 
-    // Engine independence, re-proven on this run's first point: the
-    // serial and work-stealing reductions must agree bit-for-bit.
-    let trials = (scale.faults_per_point as u64 / 5).max(6);
-    let kinds = KvWorkloadKind::all();
-    let (loose, strict) = point_configs(VendorPreset::SsdA, true, PHASES[0], kinds[0]);
-    let point_seed = mix64(seed, 0x4B56_4150);
-    let serial = run_point(&loose, &strict, point_seed, trials, 1, EngineArg::Serial);
-    let stealing = run_point(&loose, &strict, point_seed, trials, 2, EngineArg::Stealing);
-    if serial != stealing {
-        checks.push("kv smoke failed: serial and stealing engines diverged".into());
+    // Worker-count independence, re-proven against the report itself:
+    // the first point re-run on another worker count must reproduce row 0.
+    let workers = if scale.threads == 1 { 2 } else { 1 };
+    let rerun = grid(scale, seed)[0].run(workers);
+    let same = |r: &KvRow| (r.trials, r.loose, r.strict) == (rerun.trials, rerun.loose, rerun.strict);
+    if !report.rows.first().is_some_and(same) {
+        checks.push(format!(
+            "kv smoke failed: point 0 re-run on {workers} worker(s) differs from the report's row 0"
+        ));
     }
     // And the obs pipeline must agree with the oracle tallies: exactly
     // one `app.outcome` probe per trial, payloads summing to the counts.
-    if serial.obs_outcomes != serial.trials
-        || serial.obs_surfaced != serial.loose.surfaced
-        || serial.obs_masked != serial.loose.masked
-        || serial.obs_poison != serial.loose.silent_poison
+    if rerun.obs_outcomes != rerun.trials
+        || rerun.obs_surfaced != rerun.loose.surfaced
+        || rerun.obs_masked != rerun.loose.masked
+        || rerun.obs_poison != rerun.loose.silent_poison
     {
         checks.push("kv smoke failed: probe-derived counters diverge from oracle tallies".into());
     }
@@ -416,27 +431,24 @@ mod tests {
         }
     }
 
+    fn on(threads: usize) -> ExperimentScale {
+        ExperimentScale { threads, ..tiny() }
+    }
+
     #[test]
     fn same_seed_kv_reports_are_byte_identical_across_engines() {
-        // Serial and stealing engines at two thread counts — and plain
-        // reruns — must all produce byte-identical reports.
-        let a = run(tiny(), 7, EngineArg::Serial);
-        let wider = ExperimentScale {
-            threads: 3,
-            ..tiny()
-        };
-        let b = run(wider, 7, EngineArg::Stealing);
-        let c = run(tiny(), 7, EngineArg::Stealing);
-        let d = run(tiny(), 7, EngineArg::Serial);
+        // One, two and three workers — and a plain rerun — must all
+        // produce byte-identical reports.
+        let a = run(on(1), 7);
         let json = |r: &KvReport| serde_json::to_string(r).expect("serializes");
-        assert_eq!(json(&a), json(&b), "serial vs stealing on 3 threads");
-        assert_eq!(json(&a), json(&c), "serial vs stealing");
-        assert_eq!(json(&a), json(&d), "rerun");
+        assert_eq!(json(&a), json(&run(on(2), 7)), "1 vs 2 workers");
+        assert_eq!(json(&a), json(&run(on(3), 7)), "1 vs 3 workers");
+        assert_eq!(json(&a), json(&run(on(1), 7)), "rerun");
     }
 
     #[test]
     fn kv_sweep_finds_every_class_and_self_checks_pass() {
-        let report = run(tiny(), 7, EngineArg::Auto);
+        let report = run(tiny(), 7);
         let failures = check(&report, tiny(), 7);
         assert!(failures.is_empty(), "kv self-checks must pass: {failures:?}");
         // The v5 checkpoint fields carry real application data.
@@ -445,8 +457,23 @@ mod tests {
     }
 
     #[test]
+    fn self_check_compares_the_rerun_with_the_reported_row() {
+        for threads in [1, 2] {
+            let report = run(on(threads), 7);
+            assert!(check(&report, on(threads), 7).is_empty());
+            let mut edited = report.clone();
+            edited.rows[0].strict.masked += 1;
+            let failures = check(&edited, on(threads), 7);
+            assert!(
+                failures.iter().any(|f| f.contains("row 0")),
+                "an edited row 0 must fail the check on {threads} worker(s): {failures:?}"
+            );
+        }
+    }
+
+    #[test]
     fn report_renders_with_totals() {
-        let report = run(tiny(), 7, EngineArg::Serial);
+        let report = run(tiny(), 7);
         let text = render(&report);
         assert!(text.contains("Extension M"));
         assert!(text.contains("silently poisoned"));

@@ -20,8 +20,8 @@
 //! 2. a confidence-driven plan ([`PlanSpec::ci`]) targeting that same
 //!    half-width must converge at **≥10x fewer trials** (Neyman
 //!    allocation concentrates rounds on the rare stratum);
-//! 3. the same adaptive plan re-run on the work-stealing engine must
-//!    produce a byte-identical report;
+//! 3. the same adaptive plan re-run on three workers must produce a
+//!    byte-identical report;
 //! 4. an importance-splitting plan ([`PlanSpec::split`]) must place
 //!    deterministic, strictly ascending level thresholds and land its
 //!    deep-tail estimate within an order of magnitude of the known
@@ -38,7 +38,7 @@ use serde::{Deserialize, Serialize};
 use crate::campaign::{Campaign, CampaignReport, ProgressSignal};
 use crate::error::PlatformError;
 use crate::experiments::{base_trial, campaign_at, ExperimentScale};
-use crate::plan::{run_plan, PlanEngine, PlanPoint, PlanReport, PlanSpec};
+use crate::plan::{run_plan, PlanPoint, PlanReport, PlanSpec};
 use crate::sweep::{SweepConfig, Sweeper};
 
 /// Trials the fixed-N baseline spends. Microtrials are pure RNG draws,
@@ -172,7 +172,7 @@ pub struct PlanExpReport {
     pub adaptive: PlanReport,
     /// `fixed.trials / adaptive.trials` — must be ≥ 10.
     pub gain: f64,
-    /// Serial and stealing adaptive reports byte-equal.
+    /// Adaptive reports on one and three workers byte-equal.
     pub engines_agree: bool,
     /// Importance-splitting run on the same point.
     pub split: PlanReport,
@@ -215,26 +215,21 @@ pub fn run(scale: ExperimentScale, seed: u64) -> Result<PlanExpReport, PlatformE
     let (vulnerable_site, vulnerable_weight) = point.vulnerable();
 
     // 1. Fixed-N baseline: the band a classic campaign buys.
-    let fixed = run_plan(&point, PlanSpec::fixed(FIXED_TRIALS), seed, PlanEngine::Serial)?;
+    let fixed = run_plan(&point, PlanSpec::fixed(FIXED_TRIALS), seed, 1)?;
 
     // 2. Adaptive run targeting the baseline's achieved half-width.
     let eps = fixed.wilson.half_width();
     let adaptive_spec = PlanSpec::ci(eps, 0.95);
-    let adaptive = run_plan(&point, adaptive_spec, seed, PlanEngine::Serial)?;
+    let adaptive = run_plan(&point, adaptive_spec, seed, 1)?;
     let gain = fixed.trials as f64 / adaptive.trials.max(1) as f64;
 
-    // 3. Engine byte-equality on the adaptive plan.
-    let stealing = run_plan(
-        &point,
-        adaptive_spec,
-        seed,
-        PlanEngine::Stealing { threads: 3 },
-    )?;
-    let engines_agree = report_bytes(&adaptive) == report_bytes(&stealing);
+    // 3. Worker-count byte-equality on the adaptive plan.
+    let threaded = run_plan(&point, adaptive_spec, seed, 3)?;
+    let engines_agree = report_bytes(&adaptive) == report_bytes(&threaded);
 
     // 4. Importance splitting, twice, for determinism.
-    let split = run_plan(&point, PlanSpec::split(3), seed, PlanEngine::Serial)?;
-    let split_again = run_plan(&point, PlanSpec::split(3), seed, PlanEngine::Serial)?;
+    let split = run_plan(&point, PlanSpec::split(3), seed, 1)?;
+    let split_again = run_plan(&point, PlanSpec::split(3), seed, 1)?;
     let split_deterministic = report_bytes(&split) == report_bytes(&split_again);
 
     // 5. The real thing: a planned fault-injection campaign, serial vs
@@ -318,7 +313,7 @@ pub fn check(report: &PlanExpReport) -> Vec<String> {
         fail("adaptive interval does not cover its own estimate".to_string());
     }
     if !report.engines_agree {
-        fail("serial/stealing adaptive reports differ".to_string());
+        fail("adaptive reports on one and three workers differ".to_string());
     }
     if !report.split_deterministic {
         fail("same-seed splitting runs differ".to_string());

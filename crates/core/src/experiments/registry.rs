@@ -31,16 +31,18 @@ use super::{
     wear, wss, ExperimentScale,
 };
 
-/// Which engine `--engine` selects for campaign-style experiments.
+/// What `--engine` selects. Every experiment folds its trials in one
+/// canonical order, so the choice only sets the worker count (see
+/// [`ExperimentOpts::workers`]): `serial` is one worker, `auto` and
+/// `stealing` are `--threads` workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineArg {
-    /// Serial for one thread, work-stealing otherwise.
+    /// `--threads` workers, or the experiment's default.
     #[default]
     Auto,
-    /// The serial trial loop (a campaign on one thread); the only
-    /// engine that honours checkpoints.
+    /// One worker, the caller's thread, whatever `--threads` says.
     Serial,
-    /// The work-stealing scheduler (a campaign on more than one thread).
+    /// `--threads` workers, or the experiment's default (same as `auto`).
     Stealing,
 }
 
@@ -61,17 +63,6 @@ impl EngineArg {
             EngineArg::Auto => "auto",
             EngineArg::Serial => "serial",
             EngineArg::Stealing => "stealing",
-        }
-    }
-
-    /// The one engine decision: whether a run over `threads` workers
-    /// goes to the work-stealing scheduler — under `stealing`, or under
-    /// `auto` with more than one thread.
-    pub fn steals(self, threads: usize) -> bool {
-        match self {
-            EngineArg::Auto => threads > 1,
-            EngineArg::Serial => false,
-            EngineArg::Stealing => true,
         }
     }
 }
@@ -105,9 +96,9 @@ pub struct ExperimentOpts {
     pub metrics_path: Option<PathBuf>,
     /// Write one representative probe trace (JSONL) here (enables obs).
     pub trace_path: Option<PathBuf>,
-    /// Worker threads for campaign mode (`None` = 1).
+    /// Worker threads (`None` = the experiment's default).
     pub threads: Option<usize>,
-    /// Campaign engine selection.
+    /// Engine selection: `serial` pins one worker.
     pub engine: EngineArg,
     /// Warm-up requests per trial configuration
     /// ([`crate::platform::TrialConfig::warmup_requests`]).
@@ -138,6 +129,18 @@ impl Default for ExperimentOpts {
     }
 }
 
+impl ExperimentOpts {
+    /// The one engine decision: the worker count a run folds its trials
+    /// on — 1 under `--engine serial`, otherwise `--threads` or the
+    /// experiment's `default`.
+    pub fn workers(&self, default: usize) -> usize {
+        match self.engine {
+            EngineArg::Serial => 1,
+            EngineArg::Auto | EngineArg::Stealing => self.threads.unwrap_or(default),
+        }
+    }
+}
+
 /// Everything an experiment run receives.
 #[derive(Debug, Clone)]
 pub struct ExperimentCtx {
@@ -147,6 +150,17 @@ pub struct ExperimentCtx {
     pub seed: u64,
     /// Driver options.
     pub opts: ExperimentOpts,
+}
+
+impl ExperimentCtx {
+    /// The scale a sweep runs on: `scale` with its worker count set by
+    /// [`ExperimentOpts::workers`] (default: the scale's own count).
+    fn sweep_scale(&self) -> ExperimentScale {
+        ExperimentScale {
+            threads: self.opts.workers(self.scale.threads),
+            ..self.scale
+        }
+    }
 }
 
 /// What one experiment produced.
@@ -226,7 +240,7 @@ fn run_fig4(_ctx: &ExperimentCtx) -> ExperimentReport {
 }
 
 fn run_interval(ctx: &ExperimentCtx) -> ExperimentReport {
-    let report = interval::run(ctx.scale, ctx.seed, true);
+    let report = interval::run(ctx.sweep_scale(), ctx.seed, true);
     let mut text = String::new();
     let _ = writeln!(text, "== §IV-A: interval after completion (cache enabled) ==");
     let _ = writeln!(text, "{}", report.table().render());
@@ -237,7 +251,7 @@ fn run_interval(ctx: &ExperimentCtx) -> ExperimentReport {
 }
 
 fn run_interval_nocache(ctx: &ExperimentCtx) -> ExperimentReport {
-    let report = interval::run(ctx.scale, ctx.seed ^ 1, false);
+    let report = interval::run(ctx.sweep_scale(), ctx.seed ^ 1, false);
     let mut text = String::new();
     let _ = writeln!(text, "== §IV-A: interval after completion (cache DISABLED) ==");
     let _ = writeln!(text, "{}", report.table().render());
@@ -251,7 +265,7 @@ fn run_interval_nocache(ctx: &ExperimentCtx) -> ExperimentReport {
 }
 
 fn run_fig5(ctx: &ExperimentCtx) -> ExperimentReport {
-    let report = request_type::run(ctx.scale, ctx.seed);
+    let report = request_type::run(ctx.sweep_scale(), ctx.seed);
     let mut text = String::new();
     let _ = writeln!(text, "== Fig 5: request type (read %) ==");
     let _ = writeln!(text, "{}", report.table().render());
@@ -265,7 +279,7 @@ fn run_fig6(ctx: &ExperimentCtx) -> ExperimentReport {
     } else {
         Some(&[1, 20, 50, 90])
     };
-    let report = wss::run(ctx.scale, ctx.seed, points);
+    let report = wss::run(ctx.sweep_scale(), ctx.seed, points);
     let mut text = String::new();
     let _ = writeln!(text, "== Fig 6: working-set size ==");
     let _ = writeln!(text, "{}", report.table().render());
@@ -278,7 +292,7 @@ fn run_fig6(ctx: &ExperimentCtx) -> ExperimentReport {
 }
 
 fn run_pattern(ctx: &ExperimentCtx) -> ExperimentReport {
-    let report = access_pattern::run(ctx.scale, ctx.seed);
+    let report = access_pattern::run(ctx.sweep_scale(), ctx.seed);
     let mut text = String::new();
     let _ = writeln!(text, "== §IV-D: access pattern ==");
     let _ = writeln!(text, "{}", report.table().render());
@@ -291,7 +305,7 @@ fn run_pattern(ctx: &ExperimentCtx) -> ExperimentReport {
 }
 
 fn run_fig7(ctx: &ExperimentCtx) -> ExperimentReport {
-    let report = request_size::run(ctx.scale, ctx.seed);
+    let report = request_size::run(ctx.sweep_scale(), ctx.seed);
     let mut text = String::new();
     let _ = writeln!(text, "== Fig 7: request size ==");
     let _ = writeln!(text, "{}", report.table().render());
@@ -300,7 +314,7 @@ fn run_fig7(ctx: &ExperimentCtx) -> ExperimentReport {
 }
 
 fn run_fig8(ctx: &ExperimentCtx) -> ExperimentReport {
-    let report = iops::run(ctx.scale, ctx.seed);
+    let report = iops::run(ctx.sweep_scale(), ctx.seed);
     let mut text = String::new();
     let _ = writeln!(text, "== Fig 8: requested IOPS ==");
     let _ = writeln!(text, "{}", report.table().render());
@@ -313,7 +327,7 @@ fn run_fig8(ctx: &ExperimentCtx) -> ExperimentReport {
 }
 
 fn run_fig9(ctx: &ExperimentCtx) -> ExperimentReport {
-    let report = sequence::run(ctx.scale, ctx.seed);
+    let report = sequence::run(ctx.sweep_scale(), ctx.seed);
     let mut text = String::new();
     let _ = writeln!(text, "== Fig 9: access sequences ==");
     let _ = writeln!(text, "{}", report.table().render());
@@ -322,7 +336,7 @@ fn run_fig9(ctx: &ExperimentCtx) -> ExperimentReport {
 }
 
 fn run_table1(ctx: &ExperimentCtx) -> ExperimentReport {
-    let report = vendors::run(ctx.scale, ctx.seed);
+    let report = vendors::run(ctx.sweep_scale(), ctx.seed);
     let mut text = String::new();
     let _ = writeln!(text, "== Table I: vendor drives ==");
     let _ = writeln!(text, "{}", report.table().render());
@@ -330,7 +344,7 @@ fn run_table1(ctx: &ExperimentCtx) -> ExperimentReport {
 }
 
 fn run_ablation_injector(ctx: &ExperimentCtx) -> ExperimentReport {
-    let report = injector_ablation::run(ctx.scale, ctx.seed);
+    let report = injector_ablation::run(ctx.sweep_scale(), ctx.seed);
     let mut text = String::new();
     let _ = writeln!(text, "== Ablation: discharge ramp vs transistor cut ==");
     let _ = writeln!(text, "{}", report.table().render());
@@ -338,7 +352,7 @@ fn run_ablation_injector(ctx: &ExperimentCtx) -> ExperimentReport {
 }
 
 fn run_ablation_cache(ctx: &ExperimentCtx) -> ExperimentReport {
-    let report = cache_ablation::run(ctx.scale, ctx.seed);
+    let report = cache_ablation::run(ctx.sweep_scale(), ctx.seed);
     let mut text = String::new();
     let _ = writeln!(text, "== Ablation: cache on/off/supercap ==");
     let _ = writeln!(text, "{}", report.table().render());
@@ -346,7 +360,7 @@ fn run_ablation_cache(ctx: &ExperimentCtx) -> ExperimentReport {
 }
 
 fn run_brownout(ctx: &ExperimentCtx) -> ExperimentReport {
-    let report = brownout::run(ctx.scale, ctx.seed);
+    let report = brownout::run(ctx.sweep_scale(), ctx.seed);
     let mut text = String::new();
     let _ = writeln!(text, "== Extension: transient sag (brownout) depth sweep ==");
     let _ = writeln!(text, "{}", report.table().render());
@@ -354,7 +368,7 @@ fn run_brownout(ctx: &ExperimentCtx) -> ExperimentReport {
 }
 
 fn run_wear(ctx: &ExperimentCtx) -> ExperimentReport {
-    let report = wear::run(ctx.scale, ctx.seed);
+    let report = wear::run(ctx.sweep_scale(), ctx.seed);
     let mut text = String::new();
     let _ = writeln!(text, "== Extension: device age (P/E cycles) vs fault damage ==");
     let _ = writeln!(text, "{}", report.table().render());
@@ -362,7 +376,7 @@ fn run_wear(ctx: &ExperimentCtx) -> ExperimentReport {
 }
 
 fn run_flush(ctx: &ExperimentCtx) -> ExperimentReport {
-    let report = flush::run(ctx.scale, ctx.seed);
+    let report = flush::run(ctx.sweep_scale(), ctx.seed);
     let mut text = String::new();
     let _ = writeln!(text, "== Extension: FLUSH barrier frequency ==");
     let _ = writeln!(text, "{}", report.table().render());
@@ -370,7 +384,7 @@ fn run_flush(ctx: &ExperimentCtx) -> ExperimentReport {
 }
 
 fn run_recovery(ctx: &ExperimentCtx) -> ExperimentReport {
-    let report = recovery::run(ctx.scale, ctx.seed);
+    let report = recovery::run(ctx.sweep_scale(), ctx.seed);
     let mut text = String::new();
     let _ = writeln!(text, "== Extension: recovery policy (journal replay vs full scan) ==");
     let _ = writeln!(text, "{}", report.table().render());
@@ -383,7 +397,7 @@ fn run_recovery(ctx: &ExperimentCtx) -> ExperimentReport {
 }
 
 fn run_repeated(ctx: &ExperimentCtx) -> ExperimentReport {
-    let report = repeated::run(ctx.scale, ctx.seed);
+    let report = repeated::run(ctx.sweep_scale(), ctx.seed);
     let mut text = String::new();
     let _ = writeln!(text, "== Extension: consecutive outages on one device ==");
     let _ = writeln!(text, "{}", report.table().render());
@@ -409,7 +423,7 @@ impl Experiment for StormExperiment {
         "Extension J — power cuts during recovery itself (self-checking)"
     }
     fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
-        let report = storm::run(ctx.scale, ctx.seed);
+        let report = storm::run(ctx.sweep_scale(), ctx.seed);
         let mut text = String::new();
         let _ = writeln!(text, "== Extension J: power cuts during recovery itself ==");
         let _ = writeln!(text, "{}", report.table().render());
@@ -449,7 +463,7 @@ impl Experiment for StormExperiment {
 /// Extension L with its fleet self-checks: an explicit run must prove
 /// that correlated cuts degrade MTTDL versus the independent baseline,
 /// that degraded reads and rebuild interruptions actually happened, and
-/// that the engines agree bit-for-bit.
+/// that another worker count reproduces the first row bit-for-bit.
 struct FleetExperiment;
 
 impl Experiment for FleetExperiment {
@@ -457,11 +471,11 @@ impl Experiment for FleetExperiment {
         "fleet"
     }
     fn describe(&self) -> &'static str {
-        "Extension L — correlated outages vs erasure-coded fleets (self-checking; honours --engine)"
+        "Extension L — correlated outages vs erasure-coded fleets (self-checking)"
     }
     fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
-        let report = fleet::run(ctx.scale, ctx.seed, ctx.opts.engine);
-        let checks = fleet::check(&report, ctx.scale, ctx.seed);
+        let report = fleet::run(ctx.sweep_scale(), ctx.seed);
+        let checks = fleet::check(&report, ctx.sweep_scale(), ctx.seed);
         Ok(ExperimentReport {
             text: fleet::render(&report),
             json_key: "fleet",
@@ -475,7 +489,8 @@ impl Experiment for FleetExperiment {
 /// must prove that every divergence class (surfaced, masked, silent
 /// poison) occurred, that the half-applying firmware poisoned strictly
 /// more than the CRC-verifying firmware at equal seeds, that journal
-/// batches actually tore, and that the engines agree bit-for-bit.
+/// batches actually tore, and that another worker count reproduces the
+/// first row bit-for-bit.
 struct KvExperiment;
 
 impl Experiment for KvExperiment {
@@ -486,8 +501,8 @@ impl Experiment for KvExperiment {
         "Extension M — WAL'd KV store above the device: masking vs silent poison (self-checking)"
     }
     fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
-        let report = kv::run(ctx.scale, ctx.seed, ctx.opts.engine);
-        let checks = kv::check(&report, ctx.scale, ctx.seed);
+        let report = kv::run(ctx.sweep_scale(), ctx.seed);
+        let checks = kv::check(&report, ctx.sweep_scale(), ctx.seed);
         Ok(ExperimentReport {
             text: kv::render(&report),
             json_key: "kv",
@@ -501,9 +516,8 @@ impl Experiment for KvExperiment {
 /// must prove that confidence-driven stopping matches a fixed-N
 /// campaign's interval half-width at ≥10x fewer trials on a
 /// low-failure-rate point, that same-seed PlanReports are byte-equal
-/// across the serial/stealing engines and across
-/// checkpoint/resume, and that splitting levels are deterministic and
-/// strictly ascending.
+/// across worker counts and across checkpoint/resume, and that
+/// splitting levels are deterministic and strictly ascending.
 struct PlanExperiment;
 
 impl Experiment for PlanExperiment {
@@ -514,7 +528,7 @@ impl Experiment for PlanExperiment {
         "Extension P — adaptive planner: CI stopping at ≥10x fewer trials (self-checking)"
     }
     fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
-        let report = plan::run(ctx.scale, ctx.seed)?;
+        let report = plan::run(ctx.sweep_scale(), ctx.seed)?;
         let checks = plan::check(&report);
         Ok(ExperimentReport {
             text: plan::render(&report),
@@ -565,12 +579,11 @@ impl Experiment for CampaignExperiment {
                 "--resume needs --checkpoint FILE to resume from".into(),
             ));
         }
-        let threads = o.threads.unwrap_or(1);
-        let stealing = o.engine.steals(threads);
-        if stealing && o.checkpoint.is_some() {
+        let threads = o.workers(1);
+        if threads > 1 && o.checkpoint.is_some() {
             return Err(PlatformError::InvalidConfig(
-                "--checkpoint needs the serial trial loop: add --engine serial \
-                 (the work-stealing engine writes no checkpoints)"
+                "--checkpoint needs one worker: add --engine serial \
+                 (a run on more than one worker writes no checkpoints)"
                     .into(),
             ));
         }
@@ -579,7 +592,7 @@ impl Experiment for CampaignExperiment {
             .plan(spec)
             .seed(ctx.seed)
             .retries(o.retries)
-            .threads(if stealing { threads } else { 1 });
+            .threads(threads);
         if !o.snapshot_cache {
             builder = builder.snapshot_cache(None);
         }
@@ -1028,7 +1041,7 @@ mod tests {
             "pfault-registry-stealing-{}.ckpt",
             std::process::id()
         ));
-        for (engine, threads) in [(EngineArg::Stealing, 1), (EngineArg::Auto, 2)] {
+        for (engine, threads) in [(EngineArg::Stealing, 2), (EngineArg::Auto, 2)] {
             let mut ctx = tiny_ctx();
             ctx.opts.engine = engine;
             ctx.opts.threads = Some(threads);
@@ -1072,18 +1085,32 @@ mod tests {
     }
 
     #[test]
-    fn engine_decision_is_stealing_iff_asked_or_auto_with_threads() {
-        assert!(!EngineArg::Auto.steals(1));
-        assert!(EngineArg::Auto.steals(3));
-        assert!(!EngineArg::Serial.steals(3));
-        assert!(EngineArg::Stealing.steals(1));
+    fn workers_are_one_under_serial_else_threads_or_the_default() {
+        for (engine, threads, want) in [
+            (EngineArg::Serial, None, 1),
+            (EngineArg::Serial, Some(3), 1),
+            (EngineArg::Stealing, None, 4),
+            (EngineArg::Stealing, Some(1), 1),
+            (EngineArg::Stealing, Some(3), 3),
+            (EngineArg::Auto, None, 4),
+            (EngineArg::Auto, Some(1), 1),
+            (EngineArg::Auto, Some(3), 3),
+        ] {
+            let mut ctx = tiny_ctx();
+            ctx.scale.threads = 4;
+            ctx.opts.engine = engine;
+            ctx.opts.threads = threads;
+            let why = format!("--engine {} --threads {threads:?}", engine.name());
+            assert_eq!(ctx.opts.workers(4), want, "{why}");
+            assert_eq!(ctx.sweep_scale().threads, want, "{why}");
+            assert_eq!(ctx.opts.workers(1), threads.map_or(1, |_| want), "{why}");
+        }
         for engine in [EngineArg::Auto, EngineArg::Serial, EngineArg::Stealing] {
             assert_eq!(EngineArg::parse(engine.name()), Some(engine));
         }
         assert_eq!(EngineArg::parse("striped"), None);
-        // Auto on one thread runs the serial loop and on three the
-        // stealing loop, for fixed and adaptive plans alike; the report
-        // is the same either way.
+        // A campaign on one worker and on three gives the same report,
+        // for fixed and adaptive plans alike.
         let exp = find("campaign").expect("registered");
         for plan in [
             PlanSpec::fixed(4),

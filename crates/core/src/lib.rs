@@ -76,7 +76,7 @@ pub use campaign::{
 };
 pub use error::{CheckpointError, PlatformError, TrialError};
 pub use experiments::{EngineArg, Experiment, ExperimentCtx, ExperimentOpts, ExperimentReport};
-pub use plan::{Interval, PlanEngine, PlanPoint, PlanReport, PlanSpec, PlanState, Planner};
+pub use plan::{Interval, PlanPoint, PlanReport, PlanSpec, PlanState};
 pub use platform::{TestPlatform, TrialConfig, TrialOutcome, Watchdog};
 pub use scheduler::{SchedulerStats, WorkerStats};
 pub use snapcache::{SnapshotCache, SnapshotCacheBuilder, SnapshotCacheStats};

@@ -14,20 +14,20 @@
 //!   half-width), or `Splitting` (multilevel importance splitting for
 //!   deep tails, with level thresholds chosen deterministically from
 //!   pilot rounds).
-//! * [`Planner`] — the round-allocation policy: given the per-stratum
-//!   tallies so far, how many more trials does each stratum get?
 //! * [`PlanState`] — the resumable planner state (tallies, round
-//!   index, current round targets, splitting levels). Campaigns embed
-//!   it in their reports so checkpoint v6 can pause and resume an
-//!   adaptive run byte-identically.
+//!   index, current round targets, splitting levels) and its
+//!   round-allocation policy ([`PlanState::advance`]): given the
+//!   per-stratum tallies so far, how many more trials does each stratum
+//!   get? Campaigns embed it in their reports so checkpoint v6 can pause
+//!   and resume an adaptive run byte-identically.
 //! * [`PlanReport`] — per-point n, p̂, intervals, and the strata
-//!   breakdown; same seed + same spec ⇒ byte-identical report, across
-//!   the serial and work-stealing engines.
+//!   breakdown; same seed + same spec ⇒ byte-identical report at every
+//!   worker count.
 //!
 //! Determinism rules (also in DESIGN.md §16): every planner decision is
 //! a pure function of `(spec, tallies)`; trial outcomes are pure
 //! functions of `(stratum, index)`; rounds absorb results in canonical
-//! `(stratum, index)` order regardless of engine; splitting level
+//! `(stratum, index)` order at any worker count; splitting level
 //! thresholds are order statistics of deterministic pilot batches. No
 //! wall clock, no OS entropy, no thread-arrival dependence.
 
@@ -586,14 +586,34 @@ impl PlanState {
 
     /// Runs the planner decision at a round boundary: either extends
     /// the targets for another round or marks the state done. A pure
-    /// function of `(spec, tallies)`, so serial/stealing
-    /// engines and paused/resumed runs all take identical decisions.
+    /// function of `(spec, tallies)` — no clocks, no entropy — so every
+    /// worker count and every pause/resume boundary takes identical
+    /// decisions. A fixed plan apportions its trials by weight in one
+    /// round; a confidence plan runs `confidence_round`. Splitting is not
+    /// a round/tally policy — it needs severity values, not pass/fail
+    /// bits — so it is `InvalidConfig` here and handled by [`run_plan`]'s
+    /// dedicated driver.
     pub fn advance(&mut self) -> Result<(), PlatformError> {
         if self.done {
             return Ok(());
         }
-        let planner = planner_for(self.spec)?;
-        let add = planner.next_round(self);
+        self.spec.validate()?;
+        let add = match self.spec {
+            PlanSpec::Fixed { .. } if self.round > 0 => Vec::new(),
+            PlanSpec::Fixed { trials } => {
+                let shares: Vec<f64> = self.strata.iter().map(|t| t.weight).collect();
+                apportion(trials, &shares)
+            }
+            PlanSpec::Confidence {
+                max_trials, round, ..
+            } => self.confidence_round(max_trials, round),
+            PlanSpec::Splitting { .. } => {
+                return Err(PlatformError::InvalidConfig(
+                    "splitting plans need a severity source; use plan::run_plan on a PlanPoint"
+                        .to_string(),
+                ))
+            }
+        };
         if add.iter().all(|&a| a == 0) {
             self.done = true;
         } else {
@@ -606,6 +626,55 @@ impl PlanState {
             }
         }
         Ok(())
+    }
+
+    /// Confidence-driven policy: even first round (so every stratum gets
+    /// pilot coverage), then each round splits 3:1 between
+    /// *exploitation* — Neyman allocation `n_h ∝ w_h σ̂_h` on the
+    /// observed standard deviations — and *forced exploration* —
+    /// least-sampled-first (`∝ 1/(n_h+1)`), so a stratum whose failures
+    /// simply have not shown up yet keeps accruing trials instead of
+    /// being starved by its zero σ̂. While no stratum has any observed
+    /// variance at all, the whole round explores. Returns the additional
+    /// trials per stratum; empty (interval tight or budget exhausted)
+    /// stops the point.
+    fn confidence_round(&self, max_trials: u64, round: u64) -> Vec<u64> {
+        let total = self.total_trials();
+        if total >= max_trials || self.converged() {
+            return Vec::new();
+        }
+        let batch = round.min(max_trials - total);
+        let k = self.strata.len() as u64;
+        if self.round == 0 {
+            // Pilot round: even coverage, at least one trial each.
+            let each = (batch.max(k)) / k;
+            let extra = (batch.max(k)) % k;
+            return (0..self.strata.len())
+                .map(|i| each + u64::from((i as u64) < extra))
+                .collect();
+        }
+        let exploit: Vec<f64> = self
+            .strata
+            .iter()
+            .map(|t| t.weight * t.sigma())
+            .collect();
+        let explore: Vec<f64> = self
+            .strata
+            .iter()
+            .map(|t| 1.0 / (t.trials as f64 + 1.0))
+            .collect();
+        let exploit_total: f64 = exploit.iter().sum();
+        if exploit_total.is_nan() || exploit_total <= 0.0 {
+            // Nothing has observed variance yet: the best move is to
+            // keep hunting for the first failure, least-sampled first.
+            return apportion(batch, &explore);
+        }
+        let explore_batch = batch / EXPLORE_DIV;
+        let mut alloc = apportion(batch - explore_batch, &exploit);
+        for (a, e) in alloc.iter_mut().zip(apportion(explore_batch, &explore)) {
+            *a += e;
+        }
+        alloc
     }
 
     /// Total trials across strata.
@@ -751,22 +820,12 @@ impl PlanState {
 }
 
 // ---------------------------------------------------------------------------
-// Planner trait — round-allocation policy
+// Round allocation
 // ---------------------------------------------------------------------------
 
-/// A round-allocation policy: given the tallies so far, how many more
-/// trials does each stratum get? Returning all zeros (or an empty
-/// vector) stops the point. Implementations must be pure functions of
-/// the state — no clocks, no entropy — so that every engine and every
-/// pause/resume boundary reproduces the same decision.
-pub trait Planner {
-    /// The spec this planner executes.
-    fn spec(&self) -> PlanSpec;
-
-    /// Additional trials per stratum for the next round; all-zero or
-    /// empty means stop.
-    fn next_round(&self, state: &PlanState) -> Vec<u64>;
-}
+/// Fraction of each post-pilot confidence round (as a divisor) spent on
+/// forced exploration rather than Neyman exploitation.
+const EXPLORE_DIV: u64 = 4;
 
 /// Deterministic largest-remainder apportionment of `total` trials over
 /// non-negative `shares` (ties broken by lower index).
@@ -797,107 +856,6 @@ fn apportion(total: u64, shares: &[f64]) -> Vec<u64> {
         leftover -= 1;
     }
     alloc
-}
-
-/// Fixed-N policy: one round, weights apportioned exactly.
-struct FixedPlanner {
-    trials: u64,
-}
-
-impl Planner for FixedPlanner {
-    fn spec(&self) -> PlanSpec {
-        PlanSpec::fixed(self.trials)
-    }
-
-    fn next_round(&self, state: &PlanState) -> Vec<u64> {
-        if state.round > 0 {
-            return Vec::new();
-        }
-        let shares: Vec<f64> = state.strata.iter().map(|t| t.weight).collect();
-        apportion(self.trials, &shares)
-    }
-}
-
-/// Confidence-driven policy: even first round (so every stratum gets
-/// pilot coverage), then each round splits 3:1 between *exploitation* —
-/// Neyman allocation `n_h ∝ w_h σ̂_h` on the observed standard
-/// deviations — and *forced exploration* — least-sampled-first
-/// (`∝ 1/(n_h+1)`), so a stratum whose failures simply have not shown
-/// up yet keeps accruing trials instead of being starved by its zero
-/// σ̂. While no stratum has any observed variance at all, the whole
-/// round explores. Runs until the interval is tight or the budget is
-/// exhausted.
-struct ConfidencePlanner {
-    spec: PlanSpec,
-}
-
-/// Fraction of each post-pilot round (as a divisor) spent on forced
-/// exploration rather than Neyman exploitation.
-const EXPLORE_DIV: u64 = 4;
-
-impl Planner for ConfidencePlanner {
-    fn spec(&self) -> PlanSpec {
-        self.spec
-    }
-
-    fn next_round(&self, state: &PlanState) -> Vec<u64> {
-        let PlanSpec::Confidence {
-            max_trials, round, ..
-        } = self.spec
-        else {
-            return Vec::new();
-        };
-        let total = state.total_trials();
-        if total >= max_trials || state.converged() {
-            return Vec::new();
-        }
-        let batch = round.min(max_trials - total);
-        let k = state.strata.len() as u64;
-        if state.round == 0 {
-            // Pilot round: even coverage, at least one trial each.
-            let each = (batch.max(k)) / k;
-            let extra = (batch.max(k)) % k;
-            return (0..state.strata.len())
-                .map(|i| each + u64::from((i as u64) < extra))
-                .collect();
-        }
-        let exploit: Vec<f64> = state
-            .strata
-            .iter()
-            .map(|t| t.weight * t.sigma())
-            .collect();
-        let explore: Vec<f64> = state
-            .strata
-            .iter()
-            .map(|t| 1.0 / (t.trials as f64 + 1.0))
-            .collect();
-        let exploit_total: f64 = exploit.iter().sum();
-        if exploit_total.is_nan() || exploit_total <= 0.0 {
-            // Nothing has observed variance yet: the best move is to
-            // keep hunting for the first failure, least-sampled first.
-            return apportion(batch, &explore);
-        }
-        let explore_batch = batch / EXPLORE_DIV;
-        let mut alloc = apportion(batch - explore_batch, &exploit);
-        for (a, e) in alloc.iter_mut().zip(apportion(explore_batch, &explore)) {
-            *a += e;
-        }
-        alloc
-    }
-}
-
-/// The policy for a spec. Splitting is not a round/tally policy — it
-/// needs severity values, not pass/fail bits — so it is rejected here
-/// and handled by [`run_plan`]'s dedicated driver.
-pub fn planner_for(spec: PlanSpec) -> Result<Box<dyn Planner>, PlatformError> {
-    spec.validate()?;
-    match spec {
-        PlanSpec::Fixed { trials } => Ok(Box::new(FixedPlanner { trials })),
-        PlanSpec::Confidence { .. } => Ok(Box::new(ConfidencePlanner { spec })),
-        PlanSpec::Splitting { .. } => Err(PlatformError::InvalidConfig(
-            "splitting plans need a severity source; use plan::run_plan on a PlanPoint".to_string(),
-        )),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -948,7 +906,7 @@ pub struct PlanReport {
 }
 
 // ---------------------------------------------------------------------------
-// PlanPoint + engines — running a plan over a microtrial point
+// PlanPoint — running a plan over a microtrial point
 // ---------------------------------------------------------------------------
 
 /// A point the planner can sample: a stable set of weighted strata and
@@ -964,21 +922,10 @@ pub trait PlanPoint: Sync {
     fn severity(&self, stratum: usize, index: u64) -> f64;
 }
 
-/// Which execution engine runs each round's trial batch. Both produce
-/// byte-identical reports: results are absorbed in canonical
-/// `(stratum, index)` order no matter which thread computed them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlanEngine {
-    /// One thread, in order.
-    Serial,
-    /// Work-stealing scheduler (chunked deques, canonical reduce).
-    Stealing {
-        /// Worker thread count.
-        threads: usize,
-    },
-}
-
-/// Runs `spec` over `point` and returns the final report.
+/// Runs `spec` over `point` on `threads` workers and returns the final
+/// report, byte-identical at every worker count: results are absorbed in
+/// canonical `(stratum, index)` order no matter which thread computed
+/// them.
 ///
 /// Fixed and confidence specs run in adaptive rounds; splitting specs
 /// run the multilevel driver (always serial — each level's batch is
@@ -989,7 +936,7 @@ pub fn run_plan<P: PlanPoint>(
     point: &P,
     spec: PlanSpec,
     seed: u64,
-    engine: PlanEngine,
+    threads: usize,
 ) -> Result<PlanReport, PlatformError> {
     if matches!(spec, PlanSpec::Splitting { .. }) {
         return run_splitting(point, spec, seed);
@@ -1003,7 +950,7 @@ pub fn run_plan<P: PlanPoint>(
                 jobs.push((h, i));
             }
         }
-        let bits = run_round(point, &jobs, engine);
+        let bits = run_round(point, &jobs, threads);
         for (&(h, _), failed) in jobs.iter().zip(bits) {
             state.absorb(h, failed);
         }
@@ -1012,24 +959,21 @@ pub fn run_plan<P: PlanPoint>(
     Ok(state.report())
 }
 
-/// Executes one round's jobs on the chosen engine, returning pass/fail
+/// Executes one round's jobs on `threads` workers, returning pass/fail
 /// bits in the same canonical order as `jobs`.
-fn run_round<P: PlanPoint>(point: &P, jobs: &[(usize, u64)], engine: PlanEngine) -> Vec<bool> {
-    let eval = |&(h, i): &(usize, u64)| point.severity(h, i) >= 1.0;
-    match engine {
-        PlanEngine::Serial => jobs.iter().map(eval).collect(),
-        PlanEngine::Stealing { threads } => {
-            let (bits, _stats) = scheduler::run_work_stealing(
-                jobs.len() as u64,
-                threads.max(1),
-                scheduler::DEFAULT_CHUNK,
-                |i| eval(&jobs[i as usize]),
-                Vec::with_capacity(jobs.len()),
-                |acc: &mut Vec<bool>, _i, bit| acc.push(bit),
-            );
-            bits
-        }
-    }
+fn run_round<P: PlanPoint>(point: &P, jobs: &[(usize, u64)], threads: usize) -> Vec<bool> {
+    let (bits, _stats) = scheduler::run_work_stealing(
+        jobs.len() as u64,
+        threads,
+        scheduler::DEFAULT_CHUNK,
+        |i| {
+            let (h, index) = jobs[i as usize];
+            point.severity(h, index) >= 1.0
+        },
+        Vec::with_capacity(jobs.len()),
+        |acc: &mut Vec<bool>, _i, bit| acc.push(bit),
+    );
+    bits
 }
 
 // ---------------------------------------------------------------------------
@@ -1302,12 +1246,12 @@ mod tests {
     fn engines_agree_byte_for_byte() {
         let point = TwoStrata { fail_one_in: 8 };
         let spec = PlanSpec::ci(0.05, 0.95);
-        let serial = run_plan(&point, spec, 7, PlanEngine::Serial).unwrap();
-        let two = run_plan(&point, spec, 7, PlanEngine::Stealing { threads: 2 }).unwrap();
-        let stealing = run_plan(&point, spec, 7, PlanEngine::Stealing { threads: 4 }).unwrap();
+        let serial = run_plan(&point, spec, 7, 1).unwrap();
+        let two = run_plan(&point, spec, 7, 2).unwrap();
+        let three = run_plan(&point, spec, 7, 3).unwrap();
         let s0 = serde_json::to_string(&serial).unwrap();
         assert_eq!(s0, serde_json::to_string(&two).unwrap());
-        assert_eq!(s0, serde_json::to_string(&stealing).unwrap());
+        assert_eq!(s0, serde_json::to_string(&three).unwrap());
         assert!(serial.trials >= DEFAULT_MIN_TRIALS);
         assert!(serial.wilson.half_width() <= 0.05);
     }
@@ -1315,7 +1259,7 @@ mod tests {
     #[test]
     fn fixed_plan_runs_exactly_n_trials_apportioned_by_weight() {
         let point = TwoStrata { fail_one_in: 4 };
-        let report = run_plan(&point, PlanSpec::fixed(100), 1, PlanEngine::Serial).unwrap();
+        let report = run_plan(&point, PlanSpec::fixed(100), 1, 1).unwrap();
         assert_eq!(report.trials, 100);
         assert_eq!(report.strata[0].trials, 90);
         assert_eq!(report.strata[1].trials, 10);
@@ -1333,7 +1277,7 @@ mod tests {
             max_trials: 50_000,
             round: 32,
         };
-        let report = run_plan(&point, spec, 3, PlanEngine::Serial).unwrap();
+        let report = run_plan(&point, spec, 3, 1).unwrap();
         assert!(report.wilson.half_width() <= 0.01);
         assert!(report.trials <= 50_000);
         assert!(report.rounds >= 2, "should take multiple rounds");
@@ -1347,7 +1291,7 @@ mod tests {
             max_trials: 500,
             round: 64,
         };
-        let report = run_plan(&point, capped, 3, PlanEngine::Serial).unwrap();
+        let report = run_plan(&point, capped, 3, 1).unwrap();
         assert_eq!(report.trials, 500);
     }
 
@@ -1369,8 +1313,8 @@ mod tests {
             pilot: 64,
             per_level: 128,
         };
-        let a = run_plan(&point, spec, 11, PlanEngine::Serial).unwrap();
-        let b = run_plan(&point, spec, 11, PlanEngine::Serial).unwrap();
+        let a = run_plan(&point, spec, 11, 1).unwrap();
+        let b = run_plan(&point, spec, 11, 1).unwrap();
         assert_eq!(
             serde_json::to_string(&a).unwrap(),
             serde_json::to_string(&b).unwrap()
@@ -1391,7 +1335,7 @@ mod tests {
     #[test]
     fn splitting_rejected_by_round_planner() {
         assert!(matches!(
-            planner_for(PlanSpec::split(3)),
+            PlanState::single(PlanSpec::split(3)),
             Err(PlatformError::InvalidConfig(_))
         ));
     }

@@ -14,6 +14,10 @@
 //! gap), so a work-stealing run is byte-identical to a serial fold no
 //! matter how the OS schedules the threads — including order-sensitive
 //! aggregates like Welford mean/variance accumulators.
+//!
+//! One worker is the serial loop: it runs on the caller's thread, with
+//! no spawn, channel or reorder buffer, and folds each result as soon as
+//! it is computed.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -191,11 +195,13 @@ impl Shared {
     }
 }
 
+/// Runs worker `me` until the queues are drained, handing each result
+/// to `emit`; `emit` returning false stops the worker early.
 fn worker_loop<T, W>(
     shared: &Shared,
     me: usize,
     work: &W,
-    tx: &mpsc::Sender<(u64, T)>,
+    mut emit: impl FnMut(u64, T) -> bool,
 ) -> WorkerStats
 where
     W: Fn(u64) -> T + Sync,
@@ -210,7 +216,7 @@ where
                 let out = work(index);
                 busy += t0.elapsed();
                 stats.trials_run += 1;
-                if tx.send((index, out)).is_err() {
+                if !emit(index, out) {
                     break; // receiver gone: the run is being torn down
                 }
             }
@@ -228,7 +234,8 @@ where
 /// Runs `work(0..trials)` over `threads` work-stealing workers and folds
 /// the results into `acc` in **canonical index order** — `absorb` sees
 /// `(0, t0)`, `(1, t1)`, … exactly as a serial loop would, regardless of
-/// completion order. Threads are clamped to `1..=trials`.
+/// completion order. Threads are clamped to `1..=trials`; one thread
+/// runs `work` inline on the caller's thread.
 pub fn run_work_stealing<T, R, W, A>(
     trials: u64,
     threads: usize,
@@ -245,38 +252,46 @@ where
     let threads = threads.clamp(1, trials.max(1) as usize);
     let chunk = chunk.max(1);
     let shared = Shared::new(trials, threads, chunk);
-    let (tx, rx) = mpsc::channel::<(u64, T)>();
     let mut acc = acc;
     let mut workers: Vec<WorkerStats> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|me| {
-                let tx = tx.clone();
-                let shared = &shared;
-                let work = &work;
-                scope.spawn(move || worker_loop(shared, me, work, &tx))
-            })
-            .collect();
-        drop(tx);
-        // Canonical-order reduction with a reorder buffer. The buffer
-        // stays small: it only holds results ahead of the lowest
-        // still-running trial index.
-        let mut buffer: BTreeMap<u64, T> = BTreeMap::new();
-        let mut next = 0u64;
-        for (index, out) in rx.iter() {
-            buffer.insert(index, out);
-            while let Some(out) = buffer.remove(&next) {
-                absorb(&mut acc, next, out);
-                next += 1;
-            }
-        }
-        for (index, out) in buffer {
+    if threads == 1 {
+        workers.push(worker_loop(&shared, 0, &work, |index, out| {
             absorb(&mut acc, index, out);
-        }
-        for handle in handles {
-            workers.push(handle.join().expect("worker thread panicked"));
-        }
-    });
+            true
+        }));
+    } else {
+        let (tx, rx) = mpsc::channel::<(u64, T)>();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|me| {
+                    let tx = tx.clone();
+                    let (shared, work) = (&shared, &work);
+                    scope.spawn(move || {
+                        worker_loop(shared, me, work, |index, out| tx.send((index, out)).is_ok())
+                    })
+                })
+                .collect();
+            drop(tx);
+            // Canonical-order reduction with a reorder buffer. The buffer
+            // stays small: it only holds results ahead of the lowest
+            // still-running trial index.
+            let mut buffer: BTreeMap<u64, T> = BTreeMap::new();
+            let mut next = 0u64;
+            for (index, out) in rx.iter() {
+                buffer.insert(index, out);
+                while let Some(out) = buffer.remove(&next) {
+                    absorb(&mut acc, next, out);
+                    next += 1;
+                }
+            }
+            for (index, out) in buffer {
+                absorb(&mut acc, index, out);
+            }
+            for handle in handles {
+                workers.push(handle.join().expect("worker thread panicked"));
+            }
+        });
+    }
     workers.sort_by_key(|w| w.worker);
     (
         acc,
@@ -333,6 +348,29 @@ mod tests {
         );
         assert_eq!(stats.threads, 3, "16 threads over 3 trials is 3 workers");
         assert_eq!(seen, vec![(0, 0), (1, 1), (2, 2)]);
+    }
+
+    #[test]
+    fn one_worker_runs_inline_on_the_callers_thread() {
+        let caller = std::thread::current().id();
+        let (seen, stats) = run_work_stealing(
+            10,
+            1,
+            DEFAULT_CHUNK,
+            |i| (i * 3 + 1, std::thread::current().id()),
+            Vec::new(),
+            |acc: &mut Vec<(u64, u64)>, i, (out, id)| {
+                assert_eq!(id, caller, "trial {i} ran off the caller's thread");
+                acc.push((i, out));
+            },
+        );
+        assert_eq!(seen, serial_fold(10, |i| i * 3 + 1));
+        assert_eq!((stats.threads, stats.trials, stats.chunk), (1, 10, DEFAULT_CHUNK));
+        let worker = &stats.workers[..];
+        assert_eq!(worker.len(), 1);
+        assert_eq!(worker[0].trials_run, 10);
+        assert_eq!(worker[0].injector_batches, 3, "10 trials in batches of 4");
+        assert_eq!((worker[0].steals, worker[0].stolen_trials), (0, 0));
     }
 
     #[test]
