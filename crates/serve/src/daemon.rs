@@ -23,18 +23,26 @@
 //! * **Durability** — specs before acks, checkpoints before progress
 //!   events, final reports before done events (see [`crate::spool`]).
 //!   [`Daemon::kill`] (or just dropping the daemon) stops abruptly:
-//!   restartin over the same spool resumes every in-flight job
+//!   restarting over the same spool resumes every in-flight job
 //!   byte-identically.
 //! * **Drain-then-exit** — [`Request::Shutdown`] stops admissions
 //!   (`Rejected`), pauses in-flight jobs at their next trial boundary
 //!   with a durable checkpoint, lets streams say
 //!   [`Response::ShuttingDown`], and closes the listening socket last.
+//! * **Wake-ups, not polls** — no thread learns of new work by sleeping
+//!   and looking again. The listener blocks in `accept`, and teardown
+//!   wakes it with one loopback connection that gets no handler. Attach
+//!   streams and [`Daemon::join`] wait on one condvar paired with the
+//!   job table, signalled by every status update and every stop flag; a
+//!   stream's only timeout is its next heartbeat. A job's terminal
+//!   record and its terminal status row are published in one locked
+//!   step, so a client that has read `done` finds `Status` saying so.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use pfault_platform::campaign::{
@@ -119,6 +127,9 @@ struct Shared {
     queue: Mutex<VecDeque<u64>>,
     queue_cv: Condvar,
     jobs: Mutex<BTreeMap<u64, JobStatus>>,
+    /// Signalled after every change to `jobs` and every stop flag:
+    /// attach streams and [`Daemon::join`] wait on it.
+    jobs_cv: Condvar,
     next_id: AtomicU64,
     draining: AtomicBool,
     killed: AtomicBool,
@@ -131,7 +142,7 @@ struct Shared {
 /// Locks a mutex, recovering from poisoning — a connection or worker
 /// thread that died must never wedge the rest of the daemon.
 fn lock_rec<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Shared {
@@ -143,10 +154,41 @@ impl Shared {
         self.killed.load(Ordering::SeqCst)
     }
 
+    /// Raises a stop flag (`draining` or `killed`) and wakes every
+    /// waiter. Each lock is taken once before its notify, so a waiter
+    /// that found the flag clear is already waiting when it is woken.
+    fn stop(&self, flag: &AtomicBool) {
+        flag.store(true, Ordering::SeqCst);
+        drop(lock_rec(&self.queue));
+        self.queue_cv.notify_all();
+        drop(lock_rec(&self.jobs));
+        self.jobs_cv.notify_all();
+    }
+
     fn update_job(&self, id: u64, f: impl FnOnce(&mut JobStatus)) {
         let mut jobs = lock_rec(&self.jobs);
         let entry = jobs.entry(id).or_insert_with(|| JobStatus::new("queued", 0));
         f(entry);
+        drop(jobs);
+        self.jobs_cv.notify_all();
+    }
+
+    /// Journals a job's terminal record (`done` or `failed`) and
+    /// publishes its final status row in one step under the `jobs`
+    /// lock: a client that has read the record and then asks `Status`
+    /// waits for that lock and finds the row terminal, with `events`
+    /// counting the record. Nothing is published if the append fails.
+    fn finish_job(&self, event: &JobEvent, f: impl FnOnce(&mut JobStatus)) -> std::io::Result<()> {
+        let mut jobs = lock_rec(&self.jobs);
+        self.spool.append_event(event)?;
+        let entry = jobs
+            .entry(event.job)
+            .or_insert_with(|| JobStatus::new("queued", 0));
+        entry.events = event.seq + 1;
+        f(entry);
+        drop(jobs);
+        self.jobs_cv.notify_all();
+        Ok(())
     }
 }
 
@@ -167,7 +209,6 @@ impl Daemon {
     /// and starts the accept loop plus worker pool.
     pub fn start(config: DaemonConfig) -> std::io::Result<Daemon> {
         let listener = TcpListener::bind(&config.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let spool = Spool::open(&config.spool_dir)?;
         let shared = Arc::new(Shared {
@@ -176,6 +217,7 @@ impl Daemon {
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             jobs: Mutex::new(BTreeMap::new()),
+            jobs_cv: Condvar::new(),
             draining: AtomicBool::new(false),
             killed: AtomicBool::new(false),
             accept_stop: AtomicBool::new(false),
@@ -215,8 +257,7 @@ impl Daemon {
     /// exactly as a crash would leave it; a daemon restarted over it
     /// resumes every job byte-identically.
     pub fn kill(mut self) {
-        self.shared.killed.store(true, Ordering::SeqCst);
-        self.shared.queue_cv.notify_all();
+        self.shared.stop(&self.shared.killed);
         self.teardown();
     }
 
@@ -226,16 +267,19 @@ impl Daemon {
     /// start, streams are told `ShuttingDown`, and the listening socket
     /// closes last.
     pub fn join(mut self) {
-        while !self.shared.stopping() {
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        let jobs = lock_rec(&self.shared.jobs);
+        drop(
+            self.shared
+                .jobs_cv
+                .wait_while(jobs, |_| !self.shared.stopping())
+                .unwrap_or_else(PoisonError::into_inner),
+        );
         self.teardown();
     }
 
     /// Starts the drain without a client (used by harnesses).
     pub fn request_shutdown(&self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
-        self.shared.queue_cv.notify_all();
+        self.shared.stop(&self.shared.draining);
     }
 
     /// Jobs currently executing (not queued, not finished).
@@ -247,8 +291,7 @@ impl Daemon {
         // Order matters: workers first (jobs checkpoint and pause),
         // connection threads next (streams flush their ShuttingDown),
         // the accept thread — and with it the listening socket — last.
-        self.shared.draining.store(true, Ordering::SeqCst);
-        self.shared.queue_cv.notify_all();
+        self.shared.stop(&self.shared.draining);
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -263,6 +306,20 @@ impl Daemon {
         }
         self.shared.accept_stop.store(true, Ordering::SeqCst);
         if let Some(handle) = self.accept.take() {
+            // `accept` blocks: one loopback connection wakes it, and the
+            // accept thread sees the stop flag before serving it. If the
+            // connect fails the thread is not blocked in `accept` (it
+            // has stopped, or `accept` itself is failing and re-checks
+            // the flag after each failure). A wildcard bind is reached
+            // through loopback.
+            let mut wake = self.addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect(wake);
             let _ = handle.join();
         }
     }
@@ -270,8 +327,7 @@ impl Daemon {
 
 impl Drop for Daemon {
     fn drop(&mut self) {
-        self.shared.killed.store(true, Ordering::SeqCst);
-        self.shared.queue_cv.notify_all();
+        self.shared.stop(&self.shared.killed);
         self.teardown();
     }
 }
@@ -317,11 +373,12 @@ fn worker_loop(shared: &Arc<Shared>) {
                 if let Some(id) = queue.pop_front() {
                     break id;
                 }
-                let (guard, _) = shared
+                // Every push and every stop flag notifies under (or
+                // after taking) the queue lock, so no timeout is needed.
+                queue = shared
                     .queue_cv
-                    .wait_timeout(queue, Duration::from_millis(200))
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                queue = guard;
+                    .wait(queue)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
         shared.active_jobs.fetch_add(1, Ordering::SeqCst);
@@ -347,25 +404,26 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
     } else {
         run_registry_job(shared, id, &spec)
     };
-    shared.update_job(id, |j| {
-        match &outcome {
-            Ok(true) => j.state = "done".to_string(),
-            Ok(false) => j.state = "paused".to_string(),
-            Err(reason) => j.state = format!("failed: {reason}"),
+    // A finished job has already published its terminal row.
+    match outcome {
+        Ok(true) => {}
+        Ok(false) => shared.update_job(id, |j| j.state = "paused".to_string()),
+        Err(reason) => {
+            let state = format!("failed: {reason}");
+            let failed = JobEvent {
+                job: id,
+                seq: shared.spool.read_events(id).len() as u64,
+                kind: "failed".to_string(),
+                completed: 0,
+                trials: spec.trials,
+                digest: 0,
+                body: reason,
+            };
+            let journaled = shared.finish_job(&failed, |j| j.state.clone_from(&state));
+            if journaled.is_err() {
+                shared.update_job(id, |j| j.state = state);
+            }
         }
-    });
-    if let Err(reason) = outcome {
-        let seq = shared.spool.read_events(id).len() as u64;
-        let _ = shared.spool.append_event(&JobEvent {
-            job: id,
-            seq,
-            kind: "failed".to_string(),
-            completed: 0,
-            trials: spec.trials,
-            digest: 0,
-            body: reason,
-        });
-        shared.update_job(id, |j| j.events = seq + 1);
     }
 }
 
@@ -466,6 +524,7 @@ fn run_campaign_job(shared: &Arc<Shared>, id: u64, spec: &JobSpec) -> Result<boo
             .reconcile_events(id, total, None)
             .map_err(|e| e.to_string())?;
         shared.update_job(id, |j| {
+            j.state = "done".to_string();
             j.completed = total;
             j.trials = total;
             j.events = events;
@@ -547,30 +606,30 @@ fn run_campaign_job(shared: &Arc<Shared>, id: u64, spec: &JobSpec) -> Result<boo
     let report_json = serde_json::to_string(&run.report).map_err(|e| e.to_string())?;
     spool.write_done(id, &report_json).map_err(|e| e.to_string())?;
     let total = run.completed;
-    spool
-        .append_event(&JobEvent {
-            job: id,
-            seq: next_seq,
-            kind: "done".to_string(),
-            completed: run.completed,
-            trials: total,
-            digest: fnv64(report_json.as_bytes()),
-            body: report_json,
-        })
-        .map_err(|e| e.to_string())?;
     let metrics = (!run.report.obs.is_empty()).then(|| render_aggregate(&run.report.obs));
     let convergence = run.report.plan.as_ref().map(|s| s.progress_line());
-    shared.update_job(id, |j| {
-        j.completed = run.completed;
-        j.trials = total;
-        j.events = next_seq + 1;
-        if let Some(m) = metrics {
-            j.metrics_jsonl = m;
-        }
-        if let Some(c) = convergence {
-            j.convergence = c;
-        }
-    });
+    let done = JobEvent {
+        job: id,
+        seq: next_seq,
+        kind: "done".to_string(),
+        completed: run.completed,
+        trials: total,
+        digest: fnv64(report_json.as_bytes()),
+        body: report_json,
+    };
+    shared
+        .finish_job(&done, |j| {
+            j.state = "done".to_string();
+            j.completed = run.completed;
+            j.trials = total;
+            if let Some(m) = metrics {
+                j.metrics_jsonl = m;
+            }
+            if let Some(c) = convergence {
+                j.convergence = c;
+            }
+        })
+        .map_err(|e| e.to_string())?;
     Ok(true)
 }
 
@@ -583,7 +642,10 @@ fn run_registry_job(shared: &Arc<Shared>, id: u64, spec: &JobSpec) -> Result<boo
         let events = spool
             .reconcile_events(id, spec.trials, None)
             .map_err(|e| e.to_string())?;
-        shared.update_job(id, |j| j.events = events);
+        shared.update_job(id, |j| {
+            j.state = "done".to_string();
+            j.events = events;
+        });
         return Ok(true);
     }
     let Some(exp) = experiments::find(&spec.exp) else {
@@ -598,18 +660,18 @@ fn run_registry_job(shared: &Arc<Shared>, id: u64, spec: &JobSpec) -> Result<boo
     let report_json = serde_json::to_string(&report.json).map_err(|e| e.to_string())?;
     spool.clear_events(id).map_err(|e| e.to_string())?;
     spool.write_done(id, &report_json).map_err(|e| e.to_string())?;
-    spool
-        .append_event(&JobEvent {
-            job: id,
-            seq: 0,
-            kind: "done".to_string(),
-            completed: spec.trials,
-            trials: spec.trials,
-            digest: fnv64(report_json.as_bytes()),
-            body: report_json,
-        })
+    let done = JobEvent {
+        job: id,
+        seq: 0,
+        kind: "done".to_string(),
+        completed: spec.trials,
+        trials: spec.trials,
+        digest: fnv64(report_json.as_bytes()),
+        body: report_json,
+    };
+    shared
+        .finish_job(&done, |j| j.state = "done".to_string())
         .map_err(|e| e.to_string())?;
-    shared.update_job(id, |j| j.events = 1);
     Ok(true)
 }
 
@@ -618,16 +680,28 @@ fn accept_loop(
     listener: TcpListener,
     conns: &Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
 ) {
-    while !shared.killed() && !shared.accept_stop.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        // Checked after `accept` returns, so teardown's wake-up
+        // connection never gets a handler.
+        if shared.killed() || shared.accept_stop.load(Ordering::SeqCst) {
+            break;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let shared = Arc::clone(shared);
                 let handle = std::thread::spawn(move || handle_conn(&shared, stream));
-                lock_rec(conns).push(handle);
+                let mut conns = lock_rec(conns);
+                // Reap finished connection threads: the daemon holds a
+                // handle per live connection, not per connection served.
+                let (finished, live) = conns.drain(..).partition(|h| h.is_finished());
+                *conns = live;
+                for h in finished {
+                    let _ = h.join();
+                }
+                conns.push(handle);
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            // A real failure such as EMFILE: back off instead of spinning.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
@@ -734,8 +808,7 @@ fn handle_request(shared: &Arc<Shared>, stream: &mut TcpStream, request: Request
             send(stream, &resp).is_ok()
         }
         Request::Shutdown => {
-            shared.draining.store(true, Ordering::SeqCst);
-            shared.queue_cv.notify_all();
+            shared.stop(&shared.draining);
             send(stream, &Response::ShuttingDown).is_ok()
         }
     }
@@ -812,7 +885,11 @@ fn attach(shared: &Arc<Shared>, stream: &mut TcpStream, job: u64, from_seq: u64)
         .is_ok();
     }
     let heartbeat = Duration::from_millis(shared.config.heartbeat_ms.max(10));
-    let poll = Duration::from_millis(20);
+    let published = |jobs: &BTreeMap<u64, JobStatus>| jobs.get(&job).map_or(0, |j| j.events);
+    // The job's published event count when the journal was last read:
+    // taken before each read, so an event published during the read
+    // changes it and the wait below returns at once.
+    let mut seen = published(&lock_rec(&shared.jobs));
     let mut next = from_seq;
     let mut last_sent = Instant::now();
     loop {
@@ -845,6 +922,43 @@ fn attach(shared: &Arc<Shared>, stream: &mut TcpStream, job: u64, from_seq: u64)
             }
             last_sent = Instant::now();
         }
-        std::thread::sleep(poll);
+        // Sleep until the job publishes an event, a stop flag rises, or
+        // the next heartbeat is due.
+        let due = heartbeat.saturating_sub(last_sent.elapsed());
+        let (jobs, _) = shared
+            .jobs_cv
+            .wait_timeout_while(lock_rec(&shared.jobs), due, |jobs| {
+                !shared.stopping() && published(jobs) == seen
+            })
+            .unwrap_or_else(PoisonError::into_inner);
+        seen = published(&jobs);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::read_frame;
+
+    #[test]
+    fn finished_connection_threads_are_reaped_at_accept() {
+        let spool = std::env::temp_dir().join(format!("pfault-daemon-reap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&spool);
+        let daemon = Daemon::start(DaemonConfig::new(&spool)).unwrap();
+        let ping = encode_message(&Request::Ping).unwrap();
+        for _ in 0..50 {
+            let mut conn = TcpStream::connect(daemon.local_addr()).unwrap();
+            conn.write_all_frame(&ping).unwrap();
+            let pong = decode_message::<Response>(&read_frame(&mut conn).unwrap()).unwrap();
+            assert_eq!(pong, Response::Pong);
+            // Hang up and wait for the daemon to close its end, so the
+            // handler thread has returned before the next connection.
+            conn.shutdown(std::net::Shutdown::Write).unwrap();
+            assert!(matches!(read_frame(&mut conn), Err(FrameError::Closed)));
+        }
+        let held = lock_rec(&daemon.conns).len();
+        daemon.kill();
+        let _ = std::fs::remove_dir_all(&spool);
+        assert!(held <= 2, "{held} connection handles held after 50 pings");
     }
 }
