@@ -50,11 +50,15 @@
 #                  checks serial and stealing reports byte-identical, and
 #                  building it proves pflayers compiles against the
 #                  platform API
+#   make pfbench-test — the benchmark package's own tests (release): it
+#                  links the platform and sweep APIs through pflayers and
+#                  pfsweep, so a trimmed public API that breaks them
+#                  fails here, tests included
 #   make check   — everything CI runs
 
 CARGO ?= cargo
 
-.PHONY: all build test lint doc lint-core lint-workspace sweep-smoke obs-smoke recovery-smoke fleet-smoke kv-smoke serve-smoke plan-smoke golden golden-update pfbench-smoke check clean
+.PHONY: all build test lint doc lint-core lint-workspace sweep-smoke obs-smoke recovery-smoke fleet-smoke kv-smoke serve-smoke plan-smoke golden golden-update pfbench-smoke pfbench-test check clean
 
 all: check
 
@@ -168,7 +172,10 @@ golden-update: build
 pfbench-smoke:
 	$(CARGO) run --release --offline --quiet --manifest-path benchmark/Cargo.toml --bin pfbench -- smoke
 
-check: build lint doc test sweep-smoke obs-smoke recovery-smoke fleet-smoke kv-smoke serve-smoke plan-smoke golden pfbench-smoke
+pfbench-test:
+	$(CARGO) test --release --offline --manifest-path benchmark/Cargo.toml
+
+check: build lint doc test sweep-smoke obs-smoke recovery-smoke fleet-smoke kv-smoke serve-smoke plan-smoke golden pfbench-smoke pfbench-test
 
 clean:
 	$(CARGO) clean

@@ -234,16 +234,16 @@ fn main() -> ExitCode {
     }
     if list_exps {
         for e in all() {
-            let suffix = if e.in_all() { "" } else { "  (not part of 'all')" };
-            println!("{:<18} {}{suffix}", e.name(), e.describe());
+            let suffix = if e.in_all { "" } else { "  (not part of 'all')" };
+            println!("{:<18} {}{suffix}", e.name, e.describe);
         }
         // Lives in pfault-serve (which depends on the platform, so it
         // cannot register in the platform's static registry).
         let serve = pfault_serve::experiment();
         println!(
             "{:<18} {}  (not part of 'all')",
-            serve.name(),
-            serve.describe()
+            serve.name,
+            serve.describe
         );
         return ExitCode::SUCCESS;
     }
@@ -254,8 +254,8 @@ fn main() -> ExitCode {
     };
     let mut json = serde_json::Map::new();
     if exp == "all" {
-        for e in all().iter().filter(|e| e.in_all()) {
-            match e.run(&ctx) {
+        for e in all().iter().filter(|e| e.in_all) {
+            match (e.run)(&ctx) {
                 Ok(report) => {
                     print!("{}", report.text);
                     json.insert(report.json_key.to_string(), report.json);
@@ -263,7 +263,7 @@ fn main() -> ExitCode {
                     // explicit `--exp NAME` run enforces them below.
                 }
                 Err(err) => {
-                    eprintln!("{} failed: {err}", e.name());
+                    eprintln!("{} failed: {err}", e.name);
                     return ExitCode::FAILURE;
                 }
             }
@@ -277,7 +277,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        match e.run(&ctx) {
+        match (e.run)(&ctx) {
             Ok(report) => {
                 print!("{}", report.text);
                 if !report.check_failures.is_empty() {
@@ -289,7 +289,7 @@ fn main() -> ExitCode {
                 json.insert(report.json_key.to_string(), report.json);
             }
             Err(err) => {
-                eprintln!("{} failed: {err}", e.name());
+                eprintln!("{} failed: {err}", e.name);
                 return ExitCode::FAILURE;
             }
         }

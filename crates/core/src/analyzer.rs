@@ -17,7 +17,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use pfault_sim::Lba;
 use pfault_ssd::device::{Ssd, VerifiedContent};
 
 use crate::oracle::Oracle;
@@ -222,17 +221,11 @@ pub fn classify_all(
     (verdicts, counts)
 }
 
-/// Placeholder LBA helper used in doctests.
-#[doc(hidden)]
-pub fn _lba(i: u64) -> Lba {
-    Lba::new(i)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pfault_flash::array::PageData;
-    use pfault_sim::{DetRng, SectorCount, SimTime};
+    use pfault_sim::{DetRng, Lba, SectorCount, SimTime};
     use pfault_ssd::device::HostCommand;
     use pfault_ssd::vendor::VendorPreset;
     use pfault_workload::DataPacket;

@@ -37,7 +37,7 @@ use pfault_ssd::DeviceImage;
 
 use crate::analyzer::FailureCounts;
 use crate::error::{CheckpointError, PlatformError, TrialError};
-use crate::plan::{PlanReport, PlanSpec, PlanState};
+use crate::plan::{PlanSpec, PlanState};
 use crate::platform::{TestPlatform, TrialConfig, TrialOutcome};
 use crate::scheduler::{self, SchedulerStats};
 use crate::snapcache::SnapshotCache;
@@ -276,20 +276,6 @@ impl CampaignReport {
             return 0.0;
         }
         self.counts.total_data_loss() as f64 / self.faults as f64
-    }
-
-    /// IO errors per fault.
-    pub fn io_errors_per_fault(&self) -> f64 {
-        if self.faults == 0 {
-            return 0.0;
-        }
-        self.counts.io_errors as f64 / self.faults as f64
-    }
-
-    /// The planner's verdict for a plan-driven run: n, p̂, intervals,
-    /// and the strata breakdown. `None` for plain fixed loops.
-    pub fn plan_report(&self) -> Option<PlanReport> {
-        self.plan.as_ref().map(PlanState::report)
     }
 }
 

@@ -1,8 +1,8 @@
 //! The unified Experiment API.
 //!
 //! Every runnable experiment — the paper figures, the extensions, and
-//! the operational modes (raw campaign, fault-space sweep) — implements
-//! [`Experiment`] and registers in [`registry`]. Drivers like the
+//! the operational modes (raw campaign, fault-space sweep) — is one
+//! [`Experiment`] row of the static [`registry`] table. Drivers like the
 //! `repro` binary dispatch by name instead of hand-rolling a match, and
 //! `--list-exps` is just a walk over the registry.
 //!
@@ -178,56 +178,39 @@ pub struct ExperimentReport {
     pub check_failures: Vec<String>,
 }
 
-/// A runnable experiment. Implementations are registered in
-/// [`registry`] and dispatched by [`find`].
-pub trait Experiment: Sync {
+/// A runnable experiment: one row of the [`registry`] table, dispatched
+/// by [`find`].
+#[derive(Debug)]
+pub struct Experiment {
     /// CLI name (`--exp NAME`).
-    fn name(&self) -> &'static str;
+    pub name: &'static str,
     /// One-line description for `--list-exps`.
-    fn describe(&self) -> &'static str;
+    pub describe: &'static str,
     /// Whether `--exp all` includes this experiment. Operational modes
-    /// (campaign, sweep) opt out.
-    fn in_all(&self) -> bool {
-        true
-    }
+    /// (campaign, sweep, serve) opt out.
+    pub in_all: bool,
     /// Runs the experiment.
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError>;
-}
-
-/// Adapter: a figure/extension experiment that cannot fail is a plain
-/// function from context to report.
-struct FnExperiment {
-    name: &'static str,
-    describe: &'static str,
-    run: fn(&ExperimentCtx) -> ExperimentReport,
-}
-
-impl Experiment for FnExperiment {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-    fn describe(&self) -> &'static str {
-        self.describe
-    }
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
-        Ok((self.run)(ctx))
-    }
+    pub run: fn(&ExperimentCtx) -> Result<ExperimentReport, PlatformError>,
 }
 
 fn json_of<T: serde::Serialize>(report: &T) -> Value {
     serde_json::to_value(report).expect("reports serialize")
 }
 
-fn clean(text: String, json_key: &'static str, json: Value) -> ExperimentReport {
-    ExperimentReport {
+fn clean(
+    text: String,
+    json_key: &'static str,
+    json: Value,
+) -> Result<ExperimentReport, PlatformError> {
+    Ok(ExperimentReport {
         text,
         json_key,
         json,
         check_failures: Vec::new(),
-    }
+    })
 }
 
-fn run_fig4(_ctx: &ExperimentCtx) -> ExperimentReport {
+fn run_fig4(_ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
     let report = psu::run();
     let mut text = String::new();
     let _ = writeln!(text, "== Fig 4: PSU discharge ==");
@@ -239,7 +222,7 @@ fn run_fig4(_ctx: &ExperimentCtx) -> ExperimentReport {
     clean(text, "fig4", json_of(&report))
 }
 
-fn run_interval(ctx: &ExperimentCtx) -> ExperimentReport {
+fn run_interval(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
     let report = interval::run(ctx.sweep_scale(), ctx.seed, true);
     let mut text = String::new();
     let _ = writeln!(text, "== §IV-A: interval after completion (cache enabled) ==");
@@ -250,7 +233,7 @@ fn run_interval(ctx: &ExperimentCtx) -> ExperimentReport {
     clean(text, "interval", json_of(&report))
 }
 
-fn run_interval_nocache(ctx: &ExperimentCtx) -> ExperimentReport {
+fn run_interval_nocache(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
     let report = interval::run(ctx.sweep_scale(), ctx.seed ^ 1, false);
     let mut text = String::new();
     let _ = writeln!(text, "== §IV-A: interval after completion (cache DISABLED) ==");
@@ -264,7 +247,7 @@ fn run_interval_nocache(ctx: &ExperimentCtx) -> ExperimentReport {
     clean(text, "interval_nocache", json_of(&report))
 }
 
-fn run_fig5(ctx: &ExperimentCtx) -> ExperimentReport {
+fn run_fig5(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
     let report = request_type::run(ctx.sweep_scale(), ctx.seed);
     let mut text = String::new();
     let _ = writeln!(text, "== Fig 5: request type (read %) ==");
@@ -273,7 +256,7 @@ fn run_fig5(ctx: &ExperimentCtx) -> ExperimentReport {
     clean(text, "fig5", json_of(&report))
 }
 
-fn run_fig6(ctx: &ExperimentCtx) -> ExperimentReport {
+fn run_fig6(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
     let points: Option<&[u64]> = if ctx.scale == ExperimentScale::paper() {
         None
     } else {
@@ -291,7 +274,7 @@ fn run_fig6(ctx: &ExperimentCtx) -> ExperimentReport {
     clean(text, "fig6", json_of(&report))
 }
 
-fn run_pattern(ctx: &ExperimentCtx) -> ExperimentReport {
+fn run_pattern(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
     let report = access_pattern::run(ctx.sweep_scale(), ctx.seed);
     let mut text = String::new();
     let _ = writeln!(text, "== §IV-D: access pattern ==");
@@ -304,7 +287,7 @@ fn run_pattern(ctx: &ExperimentCtx) -> ExperimentReport {
     clean(text, "pattern", json_of(&report))
 }
 
-fn run_fig7(ctx: &ExperimentCtx) -> ExperimentReport {
+fn run_fig7(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
     let report = request_size::run(ctx.sweep_scale(), ctx.seed);
     let mut text = String::new();
     let _ = writeln!(text, "== Fig 7: request size ==");
@@ -313,7 +296,7 @@ fn run_fig7(ctx: &ExperimentCtx) -> ExperimentReport {
     clean(text, "fig7", json_of(&report))
 }
 
-fn run_fig8(ctx: &ExperimentCtx) -> ExperimentReport {
+fn run_fig8(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
     let report = iops::run(ctx.sweep_scale(), ctx.seed);
     let mut text = String::new();
     let _ = writeln!(text, "== Fig 8: requested IOPS ==");
@@ -326,7 +309,7 @@ fn run_fig8(ctx: &ExperimentCtx) -> ExperimentReport {
     clean(text, "fig8", json_of(&report))
 }
 
-fn run_fig9(ctx: &ExperimentCtx) -> ExperimentReport {
+fn run_fig9(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
     let report = sequence::run(ctx.sweep_scale(), ctx.seed);
     let mut text = String::new();
     let _ = writeln!(text, "== Fig 9: access sequences ==");
@@ -335,7 +318,7 @@ fn run_fig9(ctx: &ExperimentCtx) -> ExperimentReport {
     clean(text, "fig9", json_of(&report))
 }
 
-fn run_table1(ctx: &ExperimentCtx) -> ExperimentReport {
+fn run_table1(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
     let report = vendors::run(ctx.sweep_scale(), ctx.seed);
     let mut text = String::new();
     let _ = writeln!(text, "== Table I: vendor drives ==");
@@ -343,7 +326,7 @@ fn run_table1(ctx: &ExperimentCtx) -> ExperimentReport {
     clean(text, "table1", json_of(&report))
 }
 
-fn run_ablation_injector(ctx: &ExperimentCtx) -> ExperimentReport {
+fn run_ablation_injector(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
     let report = injector_ablation::run(ctx.sweep_scale(), ctx.seed);
     let mut text = String::new();
     let _ = writeln!(text, "== Ablation: discharge ramp vs transistor cut ==");
@@ -351,7 +334,7 @@ fn run_ablation_injector(ctx: &ExperimentCtx) -> ExperimentReport {
     clean(text, "ablation_injector", json_of(&report))
 }
 
-fn run_ablation_cache(ctx: &ExperimentCtx) -> ExperimentReport {
+fn run_ablation_cache(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
     let report = cache_ablation::run(ctx.sweep_scale(), ctx.seed);
     let mut text = String::new();
     let _ = writeln!(text, "== Ablation: cache on/off/supercap ==");
@@ -359,7 +342,7 @@ fn run_ablation_cache(ctx: &ExperimentCtx) -> ExperimentReport {
     clean(text, "ablation_cache", json_of(&report))
 }
 
-fn run_brownout(ctx: &ExperimentCtx) -> ExperimentReport {
+fn run_brownout(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
     let report = brownout::run(ctx.sweep_scale(), ctx.seed);
     let mut text = String::new();
     let _ = writeln!(text, "== Extension: transient sag (brownout) depth sweep ==");
@@ -367,7 +350,7 @@ fn run_brownout(ctx: &ExperimentCtx) -> ExperimentReport {
     clean(text, "brownout", json_of(&report))
 }
 
-fn run_wear(ctx: &ExperimentCtx) -> ExperimentReport {
+fn run_wear(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
     let report = wear::run(ctx.sweep_scale(), ctx.seed);
     let mut text = String::new();
     let _ = writeln!(text, "== Extension: device age (P/E cycles) vs fault damage ==");
@@ -375,7 +358,7 @@ fn run_wear(ctx: &ExperimentCtx) -> ExperimentReport {
     clean(text, "wear", json_of(&report))
 }
 
-fn run_flush(ctx: &ExperimentCtx) -> ExperimentReport {
+fn run_flush(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
     let report = flush::run(ctx.sweep_scale(), ctx.seed);
     let mut text = String::new();
     let _ = writeln!(text, "== Extension: FLUSH barrier frequency ==");
@@ -383,7 +366,7 @@ fn run_flush(ctx: &ExperimentCtx) -> ExperimentReport {
     clean(text, "flush", json_of(&report))
 }
 
-fn run_recovery(ctx: &ExperimentCtx) -> ExperimentReport {
+fn run_recovery(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
     let report = recovery::run(ctx.sweep_scale(), ctx.seed);
     let mut text = String::new();
     let _ = writeln!(text, "== Extension: recovery policy (journal replay vs full scan) ==");
@@ -396,7 +379,7 @@ fn run_recovery(ctx: &ExperimentCtx) -> ExperimentReport {
     clean(text, "recovery", json_of(&report))
 }
 
-fn run_repeated(ctx: &ExperimentCtx) -> ExperimentReport {
+fn run_repeated(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
     let report = repeated::run(ctx.sweep_scale(), ctx.seed);
     let mut text = String::new();
     let _ = writeln!(text, "== Extension: consecutive outages on one device ==");
@@ -413,76 +396,56 @@ fn run_repeated(ctx: &ExperimentCtx) -> ExperimentReport {
 
 /// Extension J with its storm self-checks: an explicit run must prove
 /// the mechanistic pipeline fired end to end.
-struct StormExperiment;
-
-impl Experiment for StormExperiment {
-    fn name(&self) -> &'static str {
-        "recovery-storm"
+fn run_storm(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
+    let report = storm::run(ctx.sweep_scale(), ctx.seed);
+    let mut text = String::new();
+    let _ = writeln!(text, "== Extension J: power cuts during recovery itself ==");
+    let _ = writeln!(text, "{}", report.table().render());
+    let _ = writeln!(
+        text,
+        "interrupted stages {}, resumed mounts {}, read-only devices {}\n",
+        report.total_interrupted(),
+        report.total_resumed(),
+        report.total_read_only()
+    );
+    let mut checks = Vec::new();
+    if report.total_interrupted() == 0 {
+        checks.push("recovery-storm smoke failed: no recovery stage was interrupted".into());
     }
-    fn describe(&self) -> &'static str {
-        "Extension J — power cuts during recovery itself (self-checking)"
+    if report.total_resumed() == 0 {
+        checks.push("recovery-storm smoke failed: no interrupted recovery resumed".into());
     }
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
-        let report = storm::run(ctx.sweep_scale(), ctx.seed);
-        let mut text = String::new();
-        let _ = writeln!(text, "== Extension J: power cuts during recovery itself ==");
-        let _ = writeln!(text, "{}", report.table().render());
-        let _ = writeln!(
-            text,
-            "interrupted stages {}, resumed mounts {}, read-only devices {}\n",
-            report.total_interrupted(),
-            report.total_resumed(),
-            report.total_read_only()
-        );
-        let mut checks = Vec::new();
-        if report.total_interrupted() == 0 {
-            checks.push("recovery-storm smoke failed: no recovery stage was interrupted".into());
-        }
-        if report.total_resumed() == 0 {
-            checks.push("recovery-storm smoke failed: no interrupted recovery resumed".into());
-        }
-        if report.total_read_only() == 0 {
-            checks.push("recovery-storm smoke failed: no device degraded to read-only".into());
-        }
-        if report
-            .rows
-            .first()
-            .is_some_and(|calm| calm.interrupted_stages != 0)
-        {
-            checks.push("recovery-storm smoke failed: cut rate 0.0 must never interrupt".into());
-        }
-        Ok(ExperimentReport {
-            text,
-            json_key: "recovery_storm",
-            json: json_of(&report),
-            check_failures: checks,
-        })
+    if report.total_read_only() == 0 {
+        checks.push("recovery-storm smoke failed: no device degraded to read-only".into());
     }
+    if report
+        .rows
+        .first()
+        .is_some_and(|calm| calm.interrupted_stages != 0)
+    {
+        checks.push("recovery-storm smoke failed: cut rate 0.0 must never interrupt".into());
+    }
+    Ok(ExperimentReport {
+        text,
+        json_key: "recovery_storm",
+        json: json_of(&report),
+        check_failures: checks,
+    })
 }
 
 /// Extension L with its fleet self-checks: an explicit run must prove
 /// that correlated cuts degrade MTTDL versus the independent baseline,
 /// that degraded reads and rebuild interruptions actually happened, and
 /// that another worker count reproduces the first row bit-for-bit.
-struct FleetExperiment;
-
-impl Experiment for FleetExperiment {
-    fn name(&self) -> &'static str {
-        "fleet"
-    }
-    fn describe(&self) -> &'static str {
-        "Extension L — correlated outages vs erasure-coded fleets (self-checking)"
-    }
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
-        let report = fleet::run(ctx.sweep_scale(), ctx.seed);
-        let checks = fleet::check(&report, ctx.sweep_scale(), ctx.seed);
-        Ok(ExperimentReport {
-            text: fleet::render(&report),
-            json_key: "fleet",
-            json: json_of(&report),
-            check_failures: checks,
-        })
-    }
+fn run_fleet(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
+    let report = fleet::run(ctx.sweep_scale(), ctx.seed);
+    let checks = fleet::check(&report, ctx.sweep_scale(), ctx.seed);
+    Ok(ExperimentReport {
+        text: fleet::render(&report),
+        json_key: "fleet",
+        json: json_of(&report),
+        check_failures: checks,
+    })
 }
 
 /// Extension M with its application-layer self-checks: an explicit run
@@ -491,25 +454,15 @@ impl Experiment for FleetExperiment {
 /// more than the CRC-verifying firmware at equal seeds, that journal
 /// batches actually tore, and that another worker count reproduces the
 /// first row bit-for-bit.
-struct KvExperiment;
-
-impl Experiment for KvExperiment {
-    fn name(&self) -> &'static str {
-        "kv"
-    }
-    fn describe(&self) -> &'static str {
-        "Extension M — WAL'd KV store above the device: masking vs silent poison (self-checking)"
-    }
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
-        let report = kv::run(ctx.sweep_scale(), ctx.seed);
-        let checks = kv::check(&report, ctx.sweep_scale(), ctx.seed);
-        Ok(ExperimentReport {
-            text: kv::render(&report),
-            json_key: "kv",
-            json: json_of(&report),
-            check_failures: checks,
-        })
-    }
+fn run_kv(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
+    let report = kv::run(ctx.sweep_scale(), ctx.seed);
+    let checks = kv::check(&report, ctx.sweep_scale(), ctx.seed);
+    Ok(ExperimentReport {
+        text: kv::render(&report),
+        json_key: "kv",
+        json: json_of(&report),
+        check_failures: checks,
+    })
 }
 
 /// The ROADMAP item 3 deliverable with its self-checks: an explicit run
@@ -518,432 +471,443 @@ impl Experiment for KvExperiment {
 /// low-failure-rate point, that same-seed PlanReports are byte-equal
 /// across worker counts and across checkpoint/resume, and that
 /// splitting levels are deterministic and strictly ascending.
-struct PlanExperiment;
-
-impl Experiment for PlanExperiment {
-    fn name(&self) -> &'static str {
-        "plan"
-    }
-    fn describe(&self) -> &'static str {
-        "Extension P — adaptive planner: CI stopping at ≥10x fewer trials (self-checking)"
-    }
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
-        let report = plan::run(ctx.sweep_scale(), ctx.seed)?;
-        let checks = plan::check(&report);
-        Ok(ExperimentReport {
-            text: plan::render(&report),
-            json_key: "plan",
-            json: json_of(&report),
-            check_failures: checks,
-        })
-    }
+fn run_plan(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
+    let report = plan::run(ctx.sweep_scale(), ctx.seed)?;
+    let checks = plan::check(&report);
+    Ok(ExperimentReport {
+        text: plan::render(&report),
+        json_key: "plan",
+        json: json_of(&report),
+        check_failures: checks,
+    })
 }
 
 /// One raw fault-injection campaign with the resilience controls:
 /// watchdog budgets, deterministic retries, checkpoint/resume, engine
 /// selection, warm-up snapshots, and obs export.
-struct CampaignExperiment;
-
-impl Experiment for CampaignExperiment {
-    fn name(&self) -> &'static str {
-        "campaign"
+fn run_campaign(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
+    let o = &ctx.opts;
+    let spec = o
+        .plan
+        .unwrap_or_else(|| PlanSpec::fixed(ctx.scale.faults_per_point as u64));
+    spec.validate()?;
+    let mut config = CampaignConfig::paper_default();
+    config.requests_per_trial = ctx.scale.requests_per_trial;
+    if let Some(warmup) = o.warmup {
+        config.trial.warmup_requests = warmup;
     }
-    fn describe(&self) -> &'static str {
-        "one raw campaign: watchdog, retries, checkpoint/resume, --engine/--threads/--warmup"
+    if o.metrics_path.is_some() || o.trace_path.is_some() {
+        config.trial.obs = true;
     }
-    fn in_all(&self) -> bool {
-        false
+    if o.watchdog_ms.is_some() || o.watchdog_events.is_some() {
+        config.trial.watchdog = Watchdog {
+            max_sim_time_us: o.watchdog_ms.map(|ms| ms * 1_000),
+            max_events: o.watchdog_events,
+        };
     }
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
-        let o = &ctx.opts;
-        let spec = o
-            .plan
-            .unwrap_or_else(|| PlanSpec::fixed(ctx.scale.faults_per_point as u64));
-        spec.validate()?;
-        let mut config = CampaignConfig::paper_default();
-        config.requests_per_trial = ctx.scale.requests_per_trial;
-        if let Some(warmup) = o.warmup {
-            config.trial.warmup_requests = warmup;
-        }
-        if o.metrics_path.is_some() || o.trace_path.is_some() {
-            config.trial.obs = true;
-        }
-        if o.watchdog_ms.is_some() || o.watchdog_events.is_some() {
-            config.trial.watchdog = Watchdog {
-                max_sim_time_us: o.watchdog_ms.map(|ms| ms * 1_000),
-                max_events: o.watchdog_events,
-            };
-        }
-        if o.resume && o.checkpoint.is_none() {
-            return Err(PlatformError::InvalidConfig(
-                "--resume needs --checkpoint FILE to resume from".into(),
-            ));
-        }
-        let threads = o.workers(1);
-        if threads > 1 && o.checkpoint.is_some() {
-            return Err(PlatformError::InvalidConfig(
-                "--checkpoint needs one worker: add --engine serial \
-                 (a run on more than one worker writes no checkpoints)"
-                    .into(),
-            ));
-        }
-        // The campaign steals iff it has more than one thread.
-        let mut builder = Campaign::builder(config)
-            .plan(spec)
-            .seed(ctx.seed)
-            .retries(o.retries)
-            .threads(threads);
-        if !o.snapshot_cache {
-            builder = builder.snapshot_cache(None);
-        }
-        if let Some(path) = &o.checkpoint {
-            builder = builder.checkpoint(path, o.checkpoint_every);
-        }
-        let report = builder
-            .build()
-            .execute(o.resume, &mut |_| ProgressSignal::Continue)?
-            .report;
-        let mut text = String::new();
-        let mut checks = Vec::new();
-        let _ = writeln!(text, "== Campaign: {} fault injections ==", report.faults);
-        let _ = writeln!(text, "plan {}", spec.render());
-        if let Some(state) = &report.plan {
-            let _ = writeln!(text, "planner: {}", state.progress_line());
-        }
+    if o.resume && o.checkpoint.is_none() {
+        return Err(PlatformError::InvalidConfig(
+            "--resume needs --checkpoint FILE to resume from".into(),
+        ));
+    }
+    let threads = o.workers(1);
+    if threads > 1 && o.checkpoint.is_some() {
+        return Err(PlatformError::InvalidConfig(
+            "--checkpoint needs one worker: add --engine serial \
+             (a run on more than one worker writes no checkpoints)"
+                .into(),
+        ));
+    }
+    // The campaign steals iff it has more than one thread.
+    let mut builder = Campaign::builder(config)
+        .plan(spec)
+        .seed(ctx.seed)
+        .retries(o.retries)
+        .threads(threads);
+    if !o.snapshot_cache {
+        builder = builder.snapshot_cache(None);
+    }
+    if let Some(path) = &o.checkpoint {
+        builder = builder.checkpoint(path, o.checkpoint_every);
+    }
+    let report = builder
+        .build()
+        .execute(o.resume, &mut |_| ProgressSignal::Continue)?
+        .report;
+    let mut text = String::new();
+    let mut checks = Vec::new();
+    let _ = writeln!(text, "== Campaign: {} fault injections ==", report.faults);
+    let _ = writeln!(text, "plan {}", spec.render());
+    if let Some(state) = &report.plan {
+        let _ = writeln!(text, "planner: {}", state.progress_line());
+    }
+    let _ = writeln!(
+        text,
+        "engine {} with {} thread(s); warm-up {} request(s), snapshot cache {}",
+        o.engine.name(),
+        threads,
+        config.trial.warmup_requests,
+        if o.snapshot_cache { "on" } else { "off" }
+    );
+    let _ = writeln!(
+        text,
+        "requests: {} issued, {} completed",
+        report.requests_issued, report.requests_completed
+    );
+    let _ = writeln!(
+        text,
+        "failures: {} data, {} FWA, {} IO errors, {} bricked devices",
+        report.counts.data_failures,
+        report.counts.fwa,
+        report.counts.io_errors,
+        report.counts.bricked_devices
+    );
+    let f = &report.failures;
+    if f.total_failed() > 0 || f.retries > 0 {
         let _ = writeln!(
             text,
-            "engine {} with {} thread(s); warm-up {} request(s), snapshot cache {}",
-            o.engine.name(),
-            threads,
-            config.trial.warmup_requests,
-            if o.snapshot_cache { "on" } else { "off" }
+            "trials without an outcome: panicked {:?}, watchdog {:?}, bricked {:?} \
+             ({} retry attempts spent)",
+            f.panicked, f.watchdog_expired, f.bricked, f.retries
         );
-        let _ = writeln!(
-            text,
-            "requests: {} issued, {} completed",
-            report.requests_issued, report.requests_completed
-        );
-        let _ = writeln!(
-            text,
-            "failures: {} data, {} FWA, {} IO errors, {} bricked devices",
-            report.counts.data_failures,
-            report.counts.fwa,
-            report.counts.io_errors,
-            report.counts.bricked_devices
-        );
-        let f = &report.failures;
-        if f.total_failed() > 0 || f.retries > 0 {
-            let _ = writeln!(
-                text,
-                "trials without an outcome: panicked {:?}, watchdog {:?}, bricked {:?} \
-                 ({} retry attempts spent)",
-                f.panicked, f.watchdog_expired, f.bricked, f.retries
-            );
+    } else {
+        let _ = writeln!(text, "all trials produced an outcome (no retries needed)");
+    }
+    if let Some(path) = &o.metrics_path {
+        // Per-failure-class probe telemetry. Self-checking: an
+        // obs-enabled campaign that observed no trial, or produced an
+        // unclassified aggregate, is a bug worth a nonzero exit.
+        if report.obs.is_empty() || report.obs.by_class.is_empty() {
+            checks.push("obs smoke failed: campaign produced no telemetry".into());
         } else {
-            let _ = writeln!(text, "all trials produced an outcome (no retries needed)");
-        }
-        if let Some(path) = &o.metrics_path {
-            // Per-failure-class probe telemetry. Self-checking: an
-            // obs-enabled campaign that observed no trial, or produced an
-            // unclassified aggregate, is a bug worth a nonzero exit.
-            if report.obs.is_empty() || report.obs.by_class.is_empty() {
-                checks.push("obs smoke failed: campaign produced no telemetry".into());
-            } else {
-                let doc = json_of(&report.obs);
-                match serde_json::to_string_pretty(&doc) {
-                    Ok(body) => match std::fs::write(path, body) {
-                        Ok(()) => {
-                            let _ = writeln!(
-                                text,
-                                "wrote metrics ({} observed trials, classes: {}) to {}",
-                                report.obs.trials_observed,
-                                report
-                                    .obs
-                                    .by_class
-                                    .keys()
-                                    .cloned()
-                                    .collect::<Vec<_>>()
-                                    .join(", "),
-                                path.display()
-                            );
-                        }
-                        Err(e) => checks.push(format!("failed to write {}: {e}", path.display())),
-                    },
-                    Err(e) => checks.push(format!("metrics did not serialize: {e}")),
-                }
-            }
-        }
-        if let Some(path) = &o.trace_path {
-            // One representative obs trial (the campaign seed itself)
-            // rendered as probe JSONL. Deterministic: same seed, same
-            // bytes.
-            let platform = TestPlatform::new(config.trial);
-            let outcome = platform.run_trial(ctx.seed)?;
-            let jsonl = pfault_obs::render_records(&outcome.probe_records);
-            // Self-check: every rendered line must parse back, with dense
-            // sequence numbers.
-            for (i, line) in jsonl.lines().enumerate() {
-                match pfault_obs::parse_jsonl_line(line) {
-                    Ok(parsed) if parsed.seq == i as u64 => {}
-                    Ok(parsed) => {
-                        checks.push(format!(
-                            "obs smoke failed: line {i} has seq {} (expected {i})",
-                            parsed.seq
-                        ));
-                        break;
-                    }
-                    Err(e) => {
-                        checks.push(format!("obs smoke failed: line {i} does not parse back: {e}"));
-                        break;
-                    }
-                }
-            }
-            if checks.is_empty() {
-                match std::fs::write(path, &jsonl) {
+            let doc = json_of(&report.obs);
+            match serde_json::to_string_pretty(&doc) {
+                Ok(body) => match std::fs::write(path, body) {
                     Ok(()) => {
                         let _ = writeln!(
                             text,
-                            "wrote probe trace ({} events) to {}",
-                            outcome.probe_records.len(),
+                            "wrote metrics ({} observed trials, classes: {}) to {}",
+                            report.obs.trials_observed,
+                            report
+                                .obs
+                                .by_class
+                                .keys()
+                                .cloned()
+                                .collect::<Vec<_>>()
+                                .join(", "),
                             path.display()
                         );
                     }
                     Err(e) => checks.push(format!("failed to write {}: {e}", path.display())),
+                },
+                Err(e) => checks.push(format!("metrics did not serialize: {e}")),
+            }
+        }
+    }
+    if let Some(path) = &o.trace_path {
+        // One representative obs trial (the campaign seed itself)
+        // rendered as probe JSONL. Deterministic: same seed, same
+        // bytes.
+        let platform = TestPlatform::new(config.trial);
+        let outcome = platform.run_trial(ctx.seed)?;
+        let jsonl = pfault_obs::render_records(&outcome.probe_records);
+        // Self-check: every rendered line must parse back, with dense
+        // sequence numbers.
+        for (i, line) in jsonl.lines().enumerate() {
+            match pfault_obs::parse_jsonl_line(line) {
+                Ok(parsed) if parsed.seq == i as u64 => {}
+                Ok(parsed) => {
+                    checks.push(format!(
+                        "obs smoke failed: line {i} has seq {} (expected {i})",
+                        parsed.seq
+                    ));
+                    break;
+                }
+                Err(e) => {
+                    checks.push(format!("obs smoke failed: line {i} does not parse back: {e}"));
+                    break;
                 }
             }
         }
-        Ok(ExperimentReport {
-            text,
-            json_key: "campaign",
-            json: json_of(&report),
-            check_failures: checks,
-        })
+        if checks.is_empty() {
+            match std::fs::write(path, &jsonl) {
+                Ok(()) => {
+                    let _ = writeln!(
+                        text,
+                        "wrote probe trace ({} events) to {}",
+                        outcome.probe_records.len(),
+                        path.display()
+                    );
+                }
+                Err(e) => checks.push(format!("failed to write {}: {e}", path.display())),
+            }
+        }
     }
+    Ok(ExperimentReport {
+        text,
+        json_key: "campaign",
+        json: json_of(&report),
+        check_failures: checks,
+    })
 }
 
 /// The systematic fault-space sweep with its self-checking exit
 /// semantics: a clean sweep must BE clean, a seeded bug must be caught,
 /// and nothing may go unverified.
-struct SweepExperiment;
-
-impl Experiment for SweepExperiment {
-    fn name(&self) -> &'static str {
-        "sweep"
+fn run_sweep(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
+    let o = &ctx.opts;
+    let mut config = SweepConfig::smoke(ctx.seed);
+    if o.inject_crc_bug {
+        config.ssd.ftl.verify_batch_crc = false;
     }
-    fn describe(&self) -> &'static str {
-        "fault-space sweep over every named fault site; --inject-crc-bug, --minimize"
+    let sweeper = Sweeper::new(config);
+    let report = sweeper.run()?;
+    let mut text = String::new();
+    let mut checks = Vec::new();
+    let _ = writeln!(
+        text,
+        "== Sweep: {} site spans, {} boundary trials ==",
+        report.sites_censused, report.trials
+    );
+    if report.violations.is_empty() {
+        let _ = writeln!(text, "no invariant violations (recovery is torn-write safe)");
     }
-    fn in_all(&self) -> bool {
-        false
-    }
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
-        let o = &ctx.opts;
-        let mut config = SweepConfig::smoke(ctx.seed);
-        if o.inject_crc_bug {
-            config.ssd.ftl.verify_batch_crc = false;
-        }
-        let sweeper = Sweeper::new(config);
-        let report = sweeper.run()?;
-        let mut text = String::new();
-        let mut checks = Vec::new();
+    for v in &report.violations {
         let _ = writeln!(
             text,
-            "== Sweep: {} site spans, {} boundary trials ==",
-            report.sites_censused, report.trials
+            "violation: {} at {}#{} ({}) t={}us — {}",
+            v.kind.name(),
+            v.site.name(),
+            v.occurrence,
+            v.phase.name(),
+            v.cut_us,
+            v.detail
         );
-        if report.violations.is_empty() {
-            let _ = writeln!(text, "no invariant violations (recovery is torn-write safe)");
+    }
+    if report.failures.total_failed() > 0 {
+        let _ = writeln!(
+            text,
+            "trials without a verdict: {} (ledger {:?})",
+            report.failures.total_failed(),
+            report.failures
+        );
+        checks.push("sweep smoke failed: some boundary trials produced no verdict".into());
+    }
+    if o.inject_crc_bug {
+        let caught = report
+            .violations
+            .iter()
+            .any(|v| v.kind == ViolationKind::TornBatchHalfApplied);
+        if !caught {
+            checks.push("sweep smoke failed: seeded CRC bug was not caught".into());
         }
-        for v in &report.violations {
-            let _ = writeln!(
-                text,
-                "violation: {} at {}#{} ({}) t={}us — {}",
-                v.kind.name(),
-                v.site.name(),
-                v.occurrence,
-                v.phase.name(),
-                v.cut_us,
-                v.detail
-            );
-        }
-        if report.failures.total_failed() > 0 {
-            let _ = writeln!(
-                text,
-                "trials without a verdict: {} (ledger {:?})",
-                report.failures.total_failed(),
-                report.failures
-            );
-            checks.push("sweep smoke failed: some boundary trials produced no verdict".into());
-        }
-        if o.inject_crc_bug {
-            let caught = report
-                .violations
-                .iter()
-                .any(|v| v.kind == ViolationKind::TornBatchHalfApplied);
-            if !caught {
-                checks.push("sweep smoke failed: seeded CRC bug was not caught".into());
-            }
-        } else if !report.violations.is_empty() {
-            checks.push("sweep smoke failed: baseline firmware must sweep clean".into());
-        }
-        if o.minimize {
-            if let Some(kind) = report.violations.first().map(|v| v.kind) {
-                match sweeper.minimize(kind)? {
-                    Some(repro) => {
-                        let _ = writeln!(text, "minimal repro ({} ops):", repro.ops.len());
-                        for op in &repro.ops {
-                            let _ = writeln!(text, "  {op:?}");
-                        }
-                        let v = &repro.violation;
-                        let _ = writeln!(
-                            text,
-                            "  fault: {} occurrence {} ({}) at t={}us -> {}",
-                            v.site.name(),
-                            v.occurrence,
-                            v.phase.name(),
-                            v.cut_us,
-                            v.kind.name()
-                        );
-                        if o.inject_crc_bug && repro.ops.len() > 3 {
-                            checks.push(
-                                "sweep smoke failed: repro did not shrink below 4 ops".into(),
-                            );
-                        }
+    } else if !report.violations.is_empty() {
+        checks.push("sweep smoke failed: baseline firmware must sweep clean".into());
+    }
+    if o.minimize {
+        if let Some(kind) = report.violations.first().map(|v| v.kind) {
+            match sweeper.minimize(kind)? {
+                Some(repro) => {
+                    let _ = writeln!(text, "minimal repro ({} ops):", repro.ops.len());
+                    for op in &repro.ops {
+                        let _ = writeln!(text, "  {op:?}");
                     }
-                    None => {
-                        checks.push("minimizer could not reproduce the violation".into());
+                    let v = &repro.violation;
+                    let _ = writeln!(
+                        text,
+                        "  fault: {} occurrence {} ({}) at t={}us -> {}",
+                        v.site.name(),
+                        v.occurrence,
+                        v.phase.name(),
+                        v.cut_us,
+                        v.kind.name()
+                    );
+                    if o.inject_crc_bug && repro.ops.len() > 3 {
+                        checks.push(
+                            "sweep smoke failed: repro did not shrink below 4 ops".into(),
+                        );
                     }
                 }
-            } else {
-                let _ = writeln!(text, "nothing to minimize: sweep found no violations");
+                None => {
+                    checks.push("minimizer could not reproduce the violation".into());
+                }
             }
+        } else {
+            let _ = writeln!(text, "nothing to minimize: sweep found no violations");
         }
-        let json = serde_json::json!({
-            "sites_censused": report.sites_censused,
-            "trials": report.trials,
-            "failed_trials": report.failures.total_failed(),
-            "violations": report.violations.iter().map(|v| serde_json::json!({
-                "kind": v.kind.name(),
-                "site": v.site.name(),
-                "occurrence": v.occurrence,
-                "phase": v.phase.name(),
-                "cut_us": v.cut_us,
-                "detail": v.detail,
-            })).collect::<Vec<_>>(),
-        });
-        Ok(ExperimentReport {
-            text,
-            json_key: "sweep",
-            json,
-            check_failures: checks,
-        })
     }
+    let json = serde_json::json!({
+        "sites_censused": report.sites_censused,
+        "trials": report.trials,
+        "failed_trials": report.failures.total_failed(),
+        "violations": report.violations.iter().map(|v| serde_json::json!({
+            "kind": v.kind.name(),
+            "site": v.site.name(),
+            "occurrence": v.occurrence,
+            "phase": v.phase.name(),
+            "cut_us": v.cut_us,
+            "detail": v.detail,
+        })).collect::<Vec<_>>(),
+    });
+    Ok(ExperimentReport {
+        text,
+        json_key: "sweep",
+        json,
+        check_failures: checks,
+    })
 }
 
 /// Every registered experiment, in `--exp all` presentation order
 /// (operational modes last; they are excluded from `all`).
-static REGISTRY: &[&dyn Experiment] = &[
-    &FnExperiment {
+static REGISTRY: &[Experiment] = &[
+    Experiment {
         name: "fig4",
         describe: "Fig 4 — PSU discharge curves",
+        in_all: true,
         run: run_fig4,
     },
-    &FnExperiment {
+    Experiment {
         name: "interval",
         describe: "§IV-A — failure interval after completion (cache enabled)",
+        in_all: true,
         run: run_interval,
     },
-    &FnExperiment {
+    Experiment {
         name: "interval-nocache",
         describe: "§IV-A — failure interval with the write cache disabled",
+        in_all: true,
         run: run_interval_nocache,
     },
-    &FnExperiment {
+    Experiment {
         name: "fig5",
         describe: "Fig 5 — request type (read %) sweep",
+        in_all: true,
         run: run_fig5,
     },
-    &FnExperiment {
+    Experiment {
         name: "fig6",
         describe: "Fig 6 — working-set size sweep (paper: flat)",
+        in_all: true,
         run: run_fig6,
     },
-    &FnExperiment {
+    Experiment {
         name: "pattern",
         describe: "§IV-D — sequential vs random access",
+        in_all: true,
         run: run_pattern,
     },
-    &FnExperiment {
+    Experiment {
         name: "fig7",
         describe: "Fig 7 — request size sweep",
+        in_all: true,
         run: run_fig7,
     },
-    &FnExperiment {
+    Experiment {
         name: "fig8",
         describe: "Fig 8 — requested vs responded IOPS saturation",
+        in_all: true,
         run: run_fig8,
     },
-    &FnExperiment {
+    Experiment {
         name: "fig9",
         describe: "Fig 9 — access sequences (RAR/RAW/WAR/WAW)",
+        in_all: true,
         run: run_fig9,
     },
-    &FnExperiment {
+    Experiment {
         name: "table1",
         describe: "Table I — the three vendor drives",
+        in_all: true,
         run: run_table1,
     },
-    &FnExperiment {
+    Experiment {
         name: "ablation-injector",
         describe: "ablation — discharge ramp vs ideal transistor cut",
+        in_all: true,
         run: run_ablation_injector,
     },
-    &FnExperiment {
+    Experiment {
         name: "ablation-cache",
         describe: "ablation — cache on/off/supercap",
+        in_all: true,
         run: run_ablation_cache,
     },
-    &FnExperiment {
+    Experiment {
         name: "brownout",
         describe: "extension — transient sag (brownout) depth sweep",
+        in_all: true,
         run: run_brownout,
     },
-    &FnExperiment {
+    Experiment {
         name: "wear",
         describe: "extension — device age (P/E cycles) vs fault damage",
+        in_all: true,
         run: run_wear,
     },
-    &FnExperiment {
+    Experiment {
         name: "flush",
         describe: "extension — FLUSH barrier frequency vs residual loss",
+        in_all: true,
         run: run_flush,
     },
-    &FnExperiment {
+    Experiment {
         name: "recovery",
         describe: "extension — journal replay vs full-scan recovery",
+        in_all: true,
         run: run_recovery,
     },
-    &FnExperiment {
+    Experiment {
         name: "repeated",
         describe: "extension — consecutive outages on one device",
+        in_all: true,
         run: run_repeated,
     },
-    &StormExperiment,
-    &FleetExperiment,
-    &KvExperiment,
-    &PlanExperiment,
-    &CampaignExperiment,
-    &SweepExperiment,
+    Experiment {
+        name: "recovery-storm",
+        describe: "Extension J — power cuts during recovery itself (self-checking)",
+        in_all: true,
+        run: run_storm,
+    },
+    Experiment {
+        name: "fleet",
+        describe: "Extension L — correlated outages vs erasure-coded fleets (self-checking)",
+        in_all: true,
+        run: run_fleet,
+    },
+    Experiment {
+        name: "kv",
+        describe: "Extension M — WAL'd KV store above the device: masking vs silent poison (self-checking)",
+        in_all: true,
+        run: run_kv,
+    },
+    Experiment {
+        name: "plan",
+        describe: "Extension P — adaptive planner: CI stopping at ≥10x fewer trials (self-checking)",
+        in_all: true,
+        run: run_plan,
+    },
+    Experiment {
+        name: "campaign",
+        describe: "one raw campaign: watchdog, retries, checkpoint/resume, --engine/--threads/--warmup",
+        in_all: false,
+        run: run_campaign,
+    },
+    Experiment {
+        name: "sweep",
+        describe: "fault-space sweep over every named fault site; --inject-crc-bug, --minimize",
+        in_all: false,
+        run: run_sweep,
+    },
 ];
 
 /// All registered experiments in presentation order.
-pub fn registry() -> &'static [&'static dyn Experiment] {
+pub fn registry() -> &'static [Experiment] {
     REGISTRY
 }
 
 /// Looks an experiment up by its CLI name.
-pub fn find(name: &str) -> Option<&'static dyn Experiment> {
-    registry().iter().copied().find(|e| e.name() == name)
+pub fn find(name: &str) -> Option<&'static Experiment> {
+    registry().iter().find(|e| e.name == name)
 }
 
 #[cfg(test)]
@@ -964,15 +928,15 @@ mod tests {
 
     #[test]
     fn registry_names_are_unique_and_findable() {
-        let mut names: Vec<&str> = registry().iter().map(|e| e.name()).collect();
+        let mut names: Vec<&str> = registry().iter().map(|e| e.name).collect();
         assert!(names.len() >= 20, "all experiments registered: {names:?}");
         names.sort_unstable();
         let before = names.len();
         names.dedup();
         assert_eq!(before, names.len(), "duplicate experiment names");
         for e in registry() {
-            assert!(find(e.name()).is_some());
-            assert!(!e.describe().is_empty());
+            assert!(find(e.name).is_some());
+            assert!(!e.describe.is_empty());
         }
         assert!(find("no-such-experiment").is_none());
     }
@@ -981,9 +945,9 @@ mod tests {
     fn operational_modes_are_excluded_from_all() {
         for name in ["campaign", "sweep"] {
             let e = find(name).expect("registered");
-            assert!(!e.in_all(), "{name} must not run under --exp all");
+            assert!(!e.in_all, "{name} must not run under --exp all");
         }
-        assert!(find("fig8").expect("registered").in_all());
+        assert!(find("fig8").expect("registered").in_all);
     }
 
     #[test]
@@ -993,10 +957,7 @@ mod tests {
         ctx.opts.threads = Some(2);
         ctx.opts.engine = EngineArg::Stealing;
         ctx.opts.warmup = Some(8);
-        let report = find("campaign")
-            .expect("registered")
-            .run(&ctx)
-            .expect("campaign runs");
+        let report = (find("campaign").expect("registered").run)(&ctx).expect("campaign runs");
         assert_eq!(report.json_key, "campaign");
         assert!(report.text.contains("engine stealing with 2 thread(s)"));
         assert!(report.text.contains("warm-up 8 request(s)"));
@@ -1011,15 +972,15 @@ mod tests {
 
     #[test]
     fn campaign_engines_agree_through_the_registry() {
-        let exp = find("campaign").expect("registered");
+        let campaign = find("campaign").expect("registered").run;
         let mut serial_ctx = tiny_ctx();
         serial_ctx.opts.plan = Some(PlanSpec::fixed(4));
         serial_ctx.opts.engine = EngineArg::Serial;
         let mut stealing_ctx = serial_ctx.clone();
         stealing_ctx.opts.engine = EngineArg::Stealing;
         stealing_ctx.opts.threads = Some(3);
-        let a = exp.run(&serial_ctx).expect("serial");
-        let b = exp.run(&stealing_ctx).expect("stealing");
+        let a = campaign(&serial_ctx).expect("serial");
+        let b = campaign(&stealing_ctx).expect("stealing");
         assert_eq!(a.json, b.json, "engine choice must not change the report");
     }
 
@@ -1027,7 +988,7 @@ mod tests {
     fn resume_without_checkpoint_is_invalid_config() {
         let mut ctx = tiny_ctx();
         ctx.opts.resume = true;
-        match find("campaign").expect("registered").run(&ctx) {
+        match (find("campaign").expect("registered").run)(&ctx) {
             Err(PlatformError::InvalidConfig(why)) => {
                 assert!(why.contains("--checkpoint"), "{why}");
             }
@@ -1046,7 +1007,7 @@ mod tests {
             ctx.opts.engine = engine;
             ctx.opts.threads = Some(threads);
             ctx.opts.checkpoint = Some(path.clone());
-            match find("campaign").expect("registered").run(&ctx) {
+            match (find("campaign").expect("registered").run)(&ctx) {
                 Err(PlatformError::InvalidConfig(why)) => {
                     assert!(why.contains("--engine serial"), "{why}");
                 }
@@ -1076,10 +1037,7 @@ mod tests {
         ctx.opts.threads = Some(2);
         ctx.opts.checkpoint = Some(path.clone());
         ctx.opts.checkpoint_every = 2;
-        find("campaign")
-            .expect("registered")
-            .run(&ctx)
-            .expect("serial adaptive campaign runs");
+        (find("campaign").expect("registered").run)(&ctx).expect("serial adaptive campaign runs");
         assert!(path.exists(), "--engine serial must write its checkpoint");
         let _ = std::fs::remove_file(&path);
     }
@@ -1111,7 +1069,7 @@ mod tests {
         assert_eq!(EngineArg::parse("striped"), None);
         // A campaign on one worker and on three gives the same report,
         // for fixed and adaptive plans alike.
-        let exp = find("campaign").expect("registered");
+        let campaign = find("campaign").expect("registered").run;
         for plan in [
             PlanSpec::fixed(4),
             PlanSpec::Confidence {
@@ -1128,8 +1086,8 @@ mod tests {
             serial.opts.threads = Some(1);
             let mut threaded = serial.clone();
             threaded.opts.threads = Some(3);
-            let a = exp.run(&serial).expect("auto on one thread");
-            let b = exp.run(&threaded).expect("auto on three threads");
+            let a = campaign(&serial).expect("auto on one thread");
+            let b = campaign(&threaded).expect("auto on three threads");
             assert_eq!(a.json, b.json, "{}", plan.render());
         }
     }

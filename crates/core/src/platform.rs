@@ -12,7 +12,7 @@ use pfault_flash::array::PageData;
 use pfault_obs::{Metrics, ProbeRecord};
 use pfault_power::{FaultInjector, FaultTimeline};
 use pfault_sim::checksum::fnv64;
-use pfault_sim::{DetRng, Lba, SectorCount, SimDuration, SimTime};
+use pfault_sim::{DetRng, SectorCount, SimDuration, SimTime};
 use pfault_ssd::device::{HostCommand, Ssd};
 use pfault_ssd::{Completion, RecoveryReport, SsdConfig, VendorPreset};
 use pfault_trace::{analyze, BlockTracer};
@@ -41,14 +41,6 @@ impl Watchdog {
         Watchdog {
             max_sim_time_us: Some(3_600_000_000),
             max_events: Some(50_000_000),
-        }
-    }
-
-    /// No protection at all (pre-watchdog behaviour).
-    pub fn unlimited() -> Self {
-        Watchdog {
-            max_sim_time_us: None,
-            max_events: None,
         }
     }
 
@@ -127,13 +119,6 @@ impl TrialConfig {
         }
     }
 
-    /// Replaces the device under test (chainable builder).
-    #[must_use]
-    pub fn with_ssd(mut self, ssd: SsdConfig) -> Self {
-        self.ssd = ssd;
-        self
-    }
-
     /// Swaps in one of the paper's Table I drives (chainable builder):
     /// `TrialConfig::paper_default().with_vendor(VendorPreset::SsdB)`.
     #[must_use]
@@ -149,31 +134,10 @@ impl TrialConfig {
         self
     }
 
-    /// Replaces the fault-injection rig (chainable builder).
-    #[must_use]
-    pub fn with_injector(mut self, injector: FaultInjector) -> Self {
-        self.injector = injector;
-        self
-    }
-
     /// Sets the nominal requests-per-fault count (chainable builder).
     #[must_use]
     pub fn with_requests(mut self, requests: usize) -> Self {
         self.requests = requests;
-        self
-    }
-
-    /// Sets the FLUSH-barrier cadence (chainable builder).
-    #[must_use]
-    pub fn with_flush_every(mut self, every: Option<u64>) -> Self {
-        self.flush_every = every;
-        self
-    }
-
-    /// Replaces the runaway-trial watchdog (chainable builder).
-    #[must_use]
-    pub fn with_watchdog(mut self, watchdog: Watchdog) -> Self {
-        self.watchdog = watchdog;
         self
     }
 
@@ -803,12 +767,6 @@ impl TestPlatform {
             probe_records,
         }
     }
-}
-
-/// Helper for experiments that need a marker LBA far from the workload.
-#[doc(hidden)]
-pub fn marker_lba() -> Lba {
-    Lba::new(u64::MAX / 8192)
 }
 
 #[cfg(test)]

@@ -13,16 +13,7 @@
 //! [`crate::campaign::Campaign`] builder starts with a fresh cache; the
 //! campaign daemon owns one for its whole life and hands it to every
 //! job, so later jobs on the same configuration clone the first job's
-//! warm image. Harnesses that want a retention bound build their own:
-//!
-//! ```
-//! use pfault_platform::snapcache::SnapshotCache;
-//!
-//! let cache = SnapshotCache::builder()
-//!     .capacity(4) // keep at most 4 configurations (FIFO)
-//!     .build();
-//! # let _ = cache;
-//! ```
+//! warm image. Nothing is evicted: entries live as long as the cache.
 //!
 //! Capture happens *while holding the lock* on purpose: concurrent
 //! workers asking for the same configuration then wait for the one
@@ -53,8 +44,6 @@ pub struct SnapshotCacheStats {
     pub misses: u64,
     /// Distinct configurations currently cached.
     pub entries: u64,
-    /// Entries dropped by the FIFO capacity bound.
-    pub evictions: u64,
     /// Times a lock acquisition found the mutex poisoned by a panicked
     /// trial and recovered it.
     pub poison_recoveries: u64,
@@ -71,56 +60,34 @@ impl SnapshotCacheStats {
     }
 }
 
-/// Configures a [`SnapshotCache`]. Obtained from
-/// [`SnapshotCache::builder`]; every knob is optional.
+/// Builds a [`SnapshotCache`]. Obtained from [`SnapshotCache::builder`];
+/// it has no knobs.
 #[derive(Debug, Clone)]
-pub struct SnapshotCacheBuilder {
-    capacity: Option<usize>,
-}
+pub struct SnapshotCacheBuilder(());
 
 impl SnapshotCacheBuilder {
-    /// Retain at most `n` configurations, evicting the oldest insertion
-    /// first. Unbounded by default.
-    #[must_use]
-    pub fn capacity(mut self, n: usize) -> Self {
-        self.capacity = Some(n.max(1));
-        self
-    }
-
     /// Builds the cache.
     pub fn build(self) -> SnapshotCache {
         SnapshotCache {
-            state: Mutex::new(CacheState::default()),
-            capacity: self.capacity,
+            entries: Mutex::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
             poison_recoveries: AtomicU64::new(0),
         }
     }
 }
 
-#[derive(Default)]
-struct CacheState {
-    entries: HashMap<u64, Arc<DeviceImage>>,
-    /// Insertion order: FIFO eviction victims.
-    order: Vec<u64>,
-}
-
 /// A digest-keyed memo of warm [`DeviceImage`]s. See the module docs.
 pub struct SnapshotCache {
-    state: Mutex<CacheState>,
-    capacity: Option<usize>,
+    entries: Mutex<HashMap<u64, Arc<DeviceImage>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
     poison_recoveries: AtomicU64,
 }
 
 impl std::fmt::Debug for SnapshotCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SnapshotCache")
-            .field("capacity", &self.capacity)
             .field("stats", &self.stats())
             .finish()
     }
@@ -133,17 +100,17 @@ impl Default for SnapshotCache {
 }
 
 impl SnapshotCache {
-    /// Starts configuring a cache: unbounded.
+    /// Starts building a cache.
     pub fn builder() -> SnapshotCacheBuilder {
-        SnapshotCacheBuilder { capacity: None }
+        SnapshotCacheBuilder(())
     }
 
-    /// Locks the state, recovering from a mutex poisoned by a panicked
+    /// Locks the map, recovering from a mutex poisoned by a panicked
     /// trial: images are inserted whole under the lock, so the map is
     /// structurally sound even when the panic interrupted a warm-up —
     /// at worst the interrupted digest is simply absent and re-warms.
-    fn lock(&self) -> MutexGuard<'_, CacheState> {
-        self.state.lock().unwrap_or_else(|poisoned| {
+    fn lock(&self) -> MutexGuard<'_, HashMap<u64, Arc<DeviceImage>>> {
+        self.entries.lock().unwrap_or_else(|poisoned| {
             self.poison_recoveries.fetch_add(1, Ordering::Relaxed);
             poisoned.into_inner()
         })
@@ -160,22 +127,14 @@ impl SnapshotCache {
         digest: u64,
         build: impl FnOnce() -> DeviceImage,
     ) -> (Arc<DeviceImage>, bool) {
-        let mut state = self.lock();
-        if let Some(image) = state.entries.get(&digest).map(Arc::clone) {
+        let mut entries = self.lock();
+        if let Some(image) = entries.get(&digest).map(Arc::clone) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return (image, true);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let stored = Arc::new(build());
-        state.entries.insert(digest, Arc::clone(&stored));
-        state.order.push(digest);
-        if let Some(cap) = self.capacity {
-            while state.order.len() > cap {
-                let oldest = state.order.remove(0);
-                state.entries.remove(&oldest);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        entries.insert(digest, Arc::clone(&stored));
         (stored, false)
     }
 
@@ -190,12 +149,11 @@ impl SnapshotCache {
 
     /// Current counters.
     pub fn stats(&self) -> SnapshotCacheStats {
-        let entries = self.lock().entries.len() as u64;
+        let entries = self.lock().len() as u64;
         SnapshotCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             entries,
-            evictions: self.evictions.load(Ordering::Relaxed),
             poison_recoveries: self.poison_recoveries.load(Ordering::Relaxed),
         }
     }
@@ -244,25 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn capacity_bound_evicts_oldest_first() {
-        let cache = SnapshotCache::builder().capacity(2).build();
-        let old = warm_platform(11);
-        let mid = warm_platform(12);
-        let new = warm_platform(13);
-        let _ = cache.warm_image_for(&old);
-        let _ = cache.warm_image_for(&mid);
-        let _ = cache.warm_image_for(&new); // evicts `old`
-        let before = cache.stats();
-        assert_eq!(before.entries, 2);
-        assert_eq!(before.evictions, 1);
-        let _ = cache.warm_image_for(&mid); // still cached
-        let _ = cache.warm_image_for(&old); // re-warms
-        let after = cache.stats();
-        assert_eq!(after.hits, before.hits + 1);
-        assert_eq!(after.misses, before.misses + 1);
-    }
-
-    #[test]
     fn poisoned_lock_recovers_and_later_campaigns_complete() {
         use crate::campaign::{Campaign, CampaignConfig};
 
@@ -274,7 +213,7 @@ mod tests {
         // …poisoned by a panic while the lock is held — what a trial
         // dying mid-capture under the campaign's catch_unwind does.
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = cache.state.lock().unwrap_or_else(|e| e.into_inner());
+            let _guard = cache.entries.lock().unwrap_or_else(|e| e.into_inner());
             panic!("trial died while capturing a warm image");
         }));
 

@@ -395,21 +395,10 @@ impl Sweeper {
         Ok(report)
     }
 
-    /// Sweeps until the first violation of `kind` and returns it (trials
-    /// after the hit are skipped — the minimizer's fast path).
-    pub fn find_first(&self, kind: ViolationKind) -> Result<Option<Violation>, TrialError> {
-        let (spans, _) = self.survey()?;
-        let issued = self.issued();
-        for cut in Self::expand(&spans) {
-            // Canonical order is not time order: every cut starts at rung 0.
-            let Ok(found) = self.run_trial(self.rung_zero(false), cut.at, &issued) else {
-                continue; // bricked trials cannot witness this kind
-            };
-            if let Some((k, detail)) = found.into_iter().find(|(k, _)| *k == kind) {
-                return Ok(Some(cut.violation(k, detail)));
-            }
-        }
-        Ok(None)
+    /// The first violation of `kind` in the sweep's canonical-order
+    /// report: the minimizer's reproduction predicate.
+    fn first_violation(&self, kind: ViolationKind) -> Result<Option<Violation>, TrialError> {
+        Ok(self.run()?.violations.into_iter().find(|v| v.kind == kind))
     }
 
     /// Shrinks the workload to a minimal op subsequence that still
@@ -419,13 +408,13 @@ impl Sweeper {
     /// reproduce `kind` in the first place. Deterministic: same seed ⇒
     /// byte-identical reproducer.
     pub fn minimize(&self, kind: ViolationKind) -> Result<Option<MinimalRepro>, TrialError> {
-        if self.find_first(kind)?.is_none() {
+        if self.first_violation(kind)?.is_none() {
             return Ok(None);
         }
         let reproduces = |ops: &[IoOp]| -> bool {
             let mut config = self.config.clone();
             config.ops = ops.to_vec();
-            matches!(Sweeper::new(config).find_first(kind), Ok(Some(_)))
+            matches!(Sweeper::new(config).first_violation(kind), Ok(Some(_)))
         };
         let mut ops = self.config.ops.clone();
         let mut chunk = (ops.len() / 2).max(1);
@@ -452,7 +441,7 @@ impl Sweeper {
         }
         let mut config = self.config.clone();
         config.ops = ops.clone();
-        let violation = Sweeper::new(config).find_first(kind)?;
+        let violation = Sweeper::new(config).first_violation(kind)?;
         Ok(violation.map(|violation| MinimalRepro { ops, violation }))
     }
 
@@ -1059,7 +1048,7 @@ mod tests {
         config.ssd.ftl.verify_batch_crc = false;
         let sweeper = Sweeper::new(config);
         let hit = sweeper
-            .find_first(ViolationKind::TornBatchHalfApplied)
+            .first_violation(ViolationKind::TornBatchHalfApplied)
             .unwrap()
             .expect("apply-before-verify bug must be caught");
         assert_eq!(hit.site, FaultSite::JournalCommitProgram);

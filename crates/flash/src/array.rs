@@ -205,11 +205,6 @@ impl FlashArray {
         self.reliability
     }
 
-    /// Overrides the reliability model (aging studies / ablations).
-    pub fn set_reliability(&mut self, model: ReliabilityModel) {
-        self.reliability = model;
-    }
-
     /// Sets the wear every not-yet-touched block materialises with, as if
     /// the whole device had already served that many program/erase cycles
     /// (end-of-life campaigns). Already-materialised blocks keep their
@@ -281,12 +276,6 @@ impl FlashArray {
     /// blocks).
     pub fn next_page_of(&self, block: u64) -> u64 {
         self.peek(block).map_or(0, |(m, _)| m.next_page)
-    }
-
-    /// Whether `block` is fully programmed.
-    pub fn block_full(&self, block: u64) -> bool {
-        self.peek(block)
-            .is_some_and(|(m, _)| m.next_page as usize >= self.geometry.pages_per_block() as usize)
     }
 
     /// Lifecycle state of `block`.

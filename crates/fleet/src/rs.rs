@@ -84,11 +84,6 @@ impl RsCode {
         self.k
     }
 
-    /// Total chunks per stripe (m + k).
-    pub fn total_chunks(&self) -> usize {
-        self.m + self.k
-    }
-
     /// Encodes the k parity payloads from the m data payloads.
     ///
     /// # Panics

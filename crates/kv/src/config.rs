@@ -66,11 +66,6 @@ impl KvConfig {
         );
     }
 
-    /// First WAL sector.
-    pub fn wal_base(&self) -> Lba {
-        Lba::new(0)
-    }
-
     /// WAL sector holding the record with this sequence number.
     pub fn wal_lba(&self, seq: u64) -> Lba {
         Lba::new(seq % self.wal_slots)

@@ -60,14 +60,6 @@ impl AtxSupply {
         }
     }
 
-    /// A supply with a custom discharge model.
-    pub fn with_model(model: PsuModel) -> Self {
-        AtxSupply {
-            model,
-            cut_at: None,
-        }
-    }
-
     /// The underlying discharge model.
     pub fn model(&self) -> PsuModel {
         self.model

@@ -135,14 +135,6 @@ impl FaultInjector {
         }
     }
 
-    /// A rig from explicit parts.
-    pub fn with_parts(kind: InjectorKind, command_latency: SimDuration) -> Self {
-        FaultInjector {
-            kind,
-            command_latency,
-        }
-    }
-
     /// The rig kind.
     pub fn kind(&self) -> InjectorKind {
         self.kind

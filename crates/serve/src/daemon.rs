@@ -39,7 +39,7 @@
 //!   step, so a client that has read `done` finds `Status` saying so.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -200,8 +200,12 @@ pub struct Daemon {
     addr: SocketAddr,
     accept: Option<std::thread::JoinHandle<()>>,
     workers: Vec<std::thread::JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    conns: Arc<Mutex<Vec<Conn>>>,
 }
+
+/// A live connection: its handler thread and a clone of its stream,
+/// which teardown shuts so an idle client cannot hold up the drain.
+type Conn = (std::thread::JoinHandle<()>, TcpStream);
 
 impl Daemon {
     /// Binds, recovers the spool (unfinished jobs re-enter the queue;
@@ -232,7 +236,7 @@ impl Daemon {
                 std::thread::spawn(move || worker_loop(&shared))
             })
             .collect();
-        let conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> = Arc::default();
+        let conns: Arc<Mutex<Vec<Conn>>> = Arc::default();
         let accept = {
             let shared = Arc::clone(&shared);
             let conns = Arc::clone(&conns);
@@ -296,13 +300,13 @@ impl Daemon {
             let _ = handle.join();
         }
         loop {
-            let handle = lock_rec(&self.conns).pop();
-            match handle {
-                Some(h) => {
-                    let _ = h.join();
-                }
-                None => break,
-            }
+            let Some((handle, stream)) = lock_rec(&self.conns).pop() else {
+                break;
+            };
+            // A handler blocked reading from an idle client sees end of
+            // stream now instead of at its read deadline.
+            let _ = stream.shutdown(Shutdown::Read);
+            let _ = handle.join();
         }
         self.shared.accept_stop.store(true, Ordering::SeqCst);
         if let Some(handle) = self.accept.take() {
@@ -333,7 +337,8 @@ impl Drop for Daemon {
 }
 
 /// Startup recovery: reconcile every spooled job's journal with its
-/// durable state and re-queue the unfinished ones.
+/// durable state and re-queue the unfinished ones. This is the one
+/// finished-job reconciler: a job on the queue never has a `done` record.
 fn recover_spool(shared: &Arc<Shared>) -> std::io::Result<()> {
     for id in shared.spool.jobs() {
         let Ok(spec) = shared.spool.read_spec(id) else {
@@ -517,20 +522,6 @@ fn render_aggregate(agg: &ObsAggregate) -> String {
 /// the job finished, `Ok(false)` when it paused for a drain/kill.
 fn run_campaign_job(shared: &Arc<Shared>, id: u64, spec: &JobSpec) -> Result<bool, String> {
     let spool = &shared.spool;
-    // Finished before a restart: just make sure the journal agrees.
-    if let Some(done_json) = spool.read_done(id) {
-        let total = done_totals(spec, &done_json);
-        let events = spool
-            .reconcile_events(id, total, None)
-            .map_err(|e| e.to_string())?;
-        shared.update_job(id, |j| {
-            j.state = "done".to_string();
-            j.completed = total;
-            j.trials = total;
-            j.events = events;
-        });
-        return Ok(true);
-    }
     let campaign = spooled_campaign(shared, id, spec)?;
     let resume = spool.has_checkpoint(id);
     let mut next_seq = if resume {
@@ -638,16 +629,6 @@ fn run_campaign_job(shared: &Arc<Shared>, id: u64, spec: &JobSpec) -> Result<boo
 /// the same bytes.
 fn run_registry_job(shared: &Arc<Shared>, id: u64, spec: &JobSpec) -> Result<bool, String> {
     let spool = &shared.spool;
-    if spool.read_done(id).is_some() {
-        let events = spool
-            .reconcile_events(id, spec.trials, None)
-            .map_err(|e| e.to_string())?;
-        shared.update_job(id, |j| {
-            j.state = "done".to_string();
-            j.events = events;
-        });
-        return Ok(true);
-    }
     let Some(exp) = experiments::find(&spec.exp) else {
         return Err(format!("unknown experiment '{}'", spec.exp));
     };
@@ -656,7 +637,7 @@ fn run_registry_job(shared: &Arc<Shared>, id: u64, spec: &JobSpec) -> Result<boo
         seed: spec.seed,
         opts: ExperimentOpts::default(),
     };
-    let report = exp.run(&ctx).map_err(|e| e.to_string())?;
+    let report = (exp.run)(&ctx).map_err(|e| e.to_string())?;
     let report_json = serde_json::to_string(&report.json).map_err(|e| e.to_string())?;
     spool.clear_events(id).map_err(|e| e.to_string())?;
     spool.write_done(id, &report_json).map_err(|e| e.to_string())?;
@@ -678,7 +659,7 @@ fn run_registry_job(shared: &Arc<Shared>, id: u64, spec: &JobSpec) -> Result<boo
 fn accept_loop(
     shared: &Arc<Shared>,
     listener: TcpListener,
-    conns: &Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    conns: &Arc<Mutex<Vec<Conn>>>,
 ) {
     loop {
         let accepted = listener.accept();
@@ -688,18 +669,28 @@ fn accept_loop(
             break;
         }
         match accepted {
-            Ok((stream, _)) => {
+            Ok((mut stream, _)) => {
+                // Without a clone teardown could not unblock the handler,
+                // so a connection that cannot be cloned is not served.
+                let Ok(held) = stream.try_clone() else {
+                    continue;
+                };
                 let shared = Arc::clone(shared);
-                let handle = std::thread::spawn(move || handle_conn(&shared, stream));
+                let handle = std::thread::spawn(move || {
+                    handle_conn(&shared, &mut stream);
+                    // The held clone would keep the connection open
+                    // until reaped; close it as the handler ends.
+                    let _ = stream.shutdown(Shutdown::Both);
+                });
                 let mut conns = lock_rec(conns);
                 // Reap finished connection threads: the daemon holds a
                 // handle per live connection, not per connection served.
-                let (finished, live) = conns.drain(..).partition(|h| h.is_finished());
+                let (finished, live) = conns.drain(..).partition(|(h, _)| h.is_finished());
                 *conns = live;
-                for h in finished {
+                for (h, _) in finished {
                     let _ = h.join();
                 }
-                conns.push(handle);
+                conns.push((handle, held));
             }
             // A real failure such as EMFILE: back off instead of spinning.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
@@ -729,26 +720,26 @@ impl WriteFrameExt for TcpStream {
     }
 }
 
-fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
+fn handle_conn(shared: &Arc<Shared>, stream: &mut TcpStream) {
     let timeout = Duration::from_millis(shared.config.io_timeout_ms.max(50));
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(timeout));
     let _ = stream.set_write_timeout(Some(timeout));
     let mut idle_strikes = 0u32;
     loop {
-        match read_frame(&mut stream) {
+        match read_frame(stream) {
             Ok(payload) => {
                 idle_strikes = 0;
                 match decode_message::<Request>(&payload) {
                     Ok(request) => {
-                        if !handle_request(shared, &mut stream, request) {
+                        if !handle_request(shared, stream, request) {
                             return;
                         }
                     }
                     Err(reason) => {
                         // Intact frame, malformed message: report and
                         // keep the connection — the transport is fine.
-                        if send(&mut stream, &Response::Error { reason }).is_err() {
+                        if send(stream, &Response::Error { reason }).is_err() {
                             return;
                         }
                     }
@@ -767,7 +758,7 @@ fn handle_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
                 // Torn or corrupted frame: a clean protocol error, then
                 // close — resync inside a byte stream is impossible.
                 let _ = send(
-                    &mut stream,
+                    stream,
                     &Response::Error {
                         reason: e.to_string(),
                     },
@@ -948,6 +939,9 @@ mod tests {
         let ping = encode_message(&Request::Ping).unwrap();
         for _ in 0..50 {
             let mut conn = TcpStream::connect(daemon.local_addr()).unwrap();
+            // A connection the daemon fails to close fails the read below
+            // at this deadline instead of hanging the test.
+            conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
             conn.write_all_frame(&ping).unwrap();
             let pong = decode_message::<Response>(&read_frame(&mut conn).unwrap()).unwrap();
             assert_eq!(pong, Response::Pong);

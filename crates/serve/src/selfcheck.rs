@@ -33,46 +33,35 @@ use crate::proto::{JobSpec, Request, Response};
 
 /// The `serve` experiment (excluded from `--exp all`: it spins up real
 /// sockets and threads, which is smoke-test work, not figure work).
-pub fn experiment() -> &'static dyn Experiment {
-    static EXP: ServeExperiment = ServeExperiment;
+pub fn experiment() -> &'static Experiment {
+    static EXP: Experiment = Experiment {
+        name: "serve",
+        describe: "campaign daemon: kill/restart resume, exactly-once streams, backpressure, drain",
+        in_all: false,
+        run,
+    };
     &EXP
 }
 
-struct ServeExperiment;
-
-impl Experiment for ServeExperiment {
-    fn name(&self) -> &'static str {
-        "serve"
+fn run(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
+    let outcome = run_selfcheck(ctx.seed);
+    let mut text = String::new();
+    let _ = writeln!(text, "== Extension O: campaign-as-a-service ==");
+    for line in &outcome.log {
+        let _ = writeln!(text, "  {line}");
     }
-
-    fn describe(&self) -> &'static str {
-        "campaign daemon: kill/restart resume, exactly-once streams, backpressure, drain"
+    if outcome.failures.is_empty() {
+        let _ = writeln!(text, "  all daemon self-checks passed");
     }
-
-    fn in_all(&self) -> bool {
-        false
-    }
-
-    fn run(&self, ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
-        let outcome = run_selfcheck(ctx.seed);
-        let mut text = String::new();
-        let _ = writeln!(text, "== Extension O: campaign-as-a-service ==");
-        for line in &outcome.log {
-            let _ = writeln!(text, "  {line}");
-        }
-        if outcome.failures.is_empty() {
-            let _ = writeln!(text, "  all daemon self-checks passed");
-        }
-        text.push('\n');
-        let json = serde_json::to_value(&outcome.summary)
-            .unwrap_or(serde_json::Value::Null);
-        Ok(ExperimentReport {
-            text,
-            json_key: "serve",
-            json,
-            check_failures: outcome.failures,
-        })
-    }
+    text.push('\n');
+    let json = serde_json::to_value(&outcome.summary)
+        .unwrap_or(serde_json::Value::Null);
+    Ok(ExperimentReport {
+        text,
+        json_key: "serve",
+        json,
+        check_failures: outcome.failures,
+    })
 }
 
 /// Machine-readable results. Deterministic by construction: no ports,

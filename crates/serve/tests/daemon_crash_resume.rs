@@ -10,7 +10,7 @@ use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 
 use pfault_serve::client::Client;
 use pfault_serve::daemon::{campaign_for, Daemon, DaemonConfig};
-use pfault_serve::proto::JobSpec;
+use pfault_serve::proto::{JobSpec, Request, Response};
 use pfault_serve::spool::Spool;
 
 fn scratch(name: &str) -> std::path::PathBuf {
@@ -175,5 +175,62 @@ fn restart_with_no_checkpoint_reruns_from_scratch_deterministically() {
     );
     let dense: Vec<u64> = (0..seqs.len() as u64).collect();
     assert_eq!(seqs, dense, "replayed journal is not dense from 0");
+    let _ = std::fs::remove_dir_all(&spool_dir);
+}
+
+#[test]
+fn restart_over_a_finished_job_restores_its_torn_done_record() {
+    // The job finishes, then the crash tears its `done` record: startup
+    // recovery alone must re-announce it, without requeueing the job.
+    let spec = JobSpec::tiny_campaign(17);
+    let reference = reference_report(&spec);
+    let spool_dir = scratch("finished");
+
+    let job;
+    let streamed;
+    {
+        let daemon = Daemon::start(DaemonConfig::new(&spool_dir)).expect("daemon A starts");
+        let mut client =
+            Client::connect(&daemon.local_addr().to_string(), 10_000).expect("client connects");
+        job = client
+            .submit(&spec)
+            .expect("submit succeeds")
+            .expect("queue has room");
+        let kinds: Vec<String> = client
+            .attach(job, 0)
+            .expect("attach succeeds")
+            .map(|event| event.expect("stream is clean").kind)
+            .collect();
+        assert_eq!(kinds.last().map(String::as_str), Some("done"));
+        streamed = kinds.len() as u64;
+        daemon.kill();
+    }
+    tear_last_journal_line(&spool_dir, job);
+
+    let daemon = Daemon::start(DaemonConfig::new(&spool_dir)).expect("daemon B starts");
+    let mut client =
+        Client::connect(&daemon.local_addr().to_string(), 20_000).expect("client reconnects");
+    let rows = match client.call(&Request::Status).expect("status answers") {
+        Response::JobList { jobs } => jobs,
+        other => panic!("expected a job list, got {other:?}"),
+    };
+    let row = rows.iter().find(|r| r.job == job).expect("job listed");
+    assert_eq!(row.state, "done", "{row:?}");
+    assert_eq!(row.events, streamed, "{row:?}");
+
+    let mut seqs = Vec::new();
+    let mut last = None;
+    for event in client.attach(job, 0).expect("attach succeeds") {
+        let event = event.expect("replayed stream is clean");
+        seqs.push(event.seq);
+        last = Some(event);
+    }
+    daemon.kill();
+
+    let dense: Vec<u64> = (0..streamed).collect();
+    assert_eq!(seqs, dense, "replayed journal is not dense from 0");
+    let last = last.expect("the journal replays");
+    assert_eq!(last.kind, "done");
+    assert_eq!(last.body, reference, "restored done record diverged");
     let _ = std::fs::remove_dir_all(&spool_dir);
 }

@@ -144,3 +144,23 @@ fn attach_stream_hears_shutting_down_at_once() {
     daemon.kill();
     let _ = std::fs::remove_dir_all(&spool);
 }
+
+#[test]
+fn drain_with_an_idle_client_is_prompt() {
+    let spool = scratch("idle-client");
+    let daemon = Daemon::start(DaemonConfig::new(&spool)).expect("daemon starts");
+    let mut client =
+        Client::connect(&daemon.local_addr().to_string(), 10_000).expect("client connects");
+    assert_eq!(
+        client.call(&Request::Ping).expect("ping answers"),
+        Response::Pong
+    );
+    // The client stays connected and silent: its handler is blocked
+    // reading, well inside the daemon's 2 s read deadline.
+    within_one_second("drain with an idle client", move || {
+        daemon.request_shutdown();
+        daemon.join();
+    });
+    drop(client);
+    let _ = std::fs::remove_dir_all(&spool);
+}

@@ -170,21 +170,6 @@ impl SsdConfig {
         self
     }
 
-    /// Enables or disables the dirty-page-verify recovery stage
-    /// (chainable builder).
-    #[must_use]
-    pub fn with_recovery_verify(mut self, verify: bool) -> Self {
-        self.recovery_verify = verify;
-        self
-    }
-
-    /// Sets the depth of the ECC read-retry ladder (chainable builder).
-    #[must_use]
-    pub fn with_read_retries(mut self, retries: u32) -> Self {
-        self.read_retry_limit = retries;
-        self
-    }
-
     /// Validates internal consistency.
     ///
     /// # Panics

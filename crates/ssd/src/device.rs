@@ -543,11 +543,6 @@ impl Ssd {
         self.probes.enable();
     }
 
-    /// Whether the probe bus is recording.
-    pub fn probes_enabled(&self) -> bool {
-        self.probes.is_enabled()
-    }
-
     /// The probe records emitted so far (empty unless
     /// [`Ssd::enable_probes`] was called).
     pub fn probe_records(&self) -> &[ProbeRecord] {

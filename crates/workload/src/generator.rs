@@ -181,11 +181,6 @@ impl WorkloadGenerator {
             payload_tag,
         }
     }
-
-    /// Produces the next `n` requests.
-    pub fn take_packets(&mut self, n: usize) -> Vec<DataPacket> {
-        (0..n).map(|_| self.next_packet()).collect()
-    }
 }
 
 #[cfg(test)]
