@@ -39,6 +39,11 @@
 #                  ≥10x fewer trials, two worker counts reduce byte-equally,
 #                  and planned pause/resume is byte-identical; cmp
 #                  enforces deterministic same-seed reports
+#   make trace-smoke — block-layer tool gate (<5 s): blkdump's trace
+#                  must survive its own blkparse-text and JSONL
+#                  round-trips, and two same-seed runs each of
+#                  `blkdump --jsonl` and `pfio --mixed-sizes` must print
+#                  byte-identical output
 #   make golden  — refactor-invariance gate: recomputes every row of
 #                  golden/digests.tsv (a repro invocation and the sha256
 #                  of its --json report and stdout) and fails, listing
@@ -58,7 +63,7 @@
 
 CARGO ?= cargo
 
-.PHONY: all build test lint doc lint-core lint-workspace sweep-smoke obs-smoke recovery-smoke fleet-smoke kv-smoke serve-smoke plan-smoke golden golden-update pfbench-smoke pfbench-test check clean
+.PHONY: all build test lint doc lint-core lint-workspace sweep-smoke obs-smoke recovery-smoke fleet-smoke kv-smoke serve-smoke plan-smoke trace-smoke golden golden-update pfbench-smoke pfbench-test check clean
 
 all: check
 
@@ -157,6 +162,19 @@ plan-smoke: build
 	./target/release/repro --exp plan --json target/plan-b.json
 	cmp target/plan-a.json target/plan-b.json
 
+# Trials keep no block trace, so the two CLI tools are the only users of
+# pfault-trace's tracer and btt pass in the workspace. blkdump exits
+# non-zero unless its trace round-trips through the blkparse text and
+# JSONL forms (see crates/bench/src/bin/blkdump.rs); cmp enforces
+# byte-identical same-seed output from both tools.
+trace-smoke: build
+	./target/release/blkdump --seed 7 --requests 64 --jsonl > target/blkdump-a.txt
+	./target/release/blkdump --seed 7 --requests 64 --jsonl > target/blkdump-b.txt
+	cmp target/blkdump-a.txt target/blkdump-b.txt
+	./target/release/pfio --mixed-sizes --requests 400 --seed 3 > target/pfio-a.txt
+	./target/release/pfio --mixed-sizes --requests 400 --seed 3 > target/pfio-b.txt
+	cmp target/pfio-a.txt target/pfio-b.txt
+
 # Every smoke target cmp's two runs of the same tree, which proves
 # determinism; golden compares against digests committed from an earlier
 # tree, which proves a refactor changed no report byte.
@@ -175,7 +193,7 @@ pfbench-smoke:
 pfbench-test:
 	$(CARGO) test --release --offline --manifest-path benchmark/Cargo.toml
 
-check: build lint doc test sweep-smoke obs-smoke recovery-smoke fleet-smoke kv-smoke serve-smoke plan-smoke golden pfbench-smoke pfbench-test
+check: build lint doc test sweep-smoke obs-smoke recovery-smoke fleet-smoke kv-smoke serve-smoke plan-smoke trace-smoke golden pfbench-smoke pfbench-test
 
 clean:
 	$(CARGO) clean

@@ -17,13 +17,17 @@
 //!   device vanished in the discharge).
 //!
 //! The classification follows §III-B's `completed` / `notApplied` flag
-//! logic, fed by the block-layer tracer (`pfault-trace`) and per-sector
-//! checksum comparison against the platform's expected-state oracle.
+//! logic. The `completed` flag comes from the platform's own request
+//! ledger ([`record::RequestRecord`]), where the paper reads it from a
+//! modified `btt` pass; `pfault-trace` remains the blktrace/btt tool,
+//! and a test in [`record`] shows the ledger and `btt` agree. The
+//! `notApplied` side is a per-sector checksum comparison against the
+//! platform's expected-state oracle.
 //!
 //! # Layers
 //!
 //! * [`oracle`] — expected device contents (last-ACKed write per sector);
-//! * [`record`] — per-request bookkeeping (Fig 2 header fields);
+//! * [`record`] — the request ledger (Fig 2 header fields);
 //! * [`platform`] — [`platform::TestPlatform`]: runs a single trial
 //!   (workload → scheduled fault → discharge → recovery → verification);
 //! * [`analyzer`] — post-recovery classification;
@@ -79,7 +83,7 @@ pub use experiments::{EngineArg, Experiment, ExperimentCtx, ExperimentOpts, Expe
 pub use plan::{Interval, PlanPoint, PlanReport, PlanSpec, PlanState};
 pub use platform::{TestPlatform, TrialConfig, TrialOutcome, Watchdog};
 pub use scheduler::{SchedulerStats, WorkerStats};
-pub use snapcache::{SnapshotCache, SnapshotCacheBuilder, SnapshotCacheStats};
+pub use snapcache::{SnapshotCache, SnapshotCacheBuilder};
 pub use sweep::{
     IoOp, MinimalRepro, Phase, SweepConfig, SweepReport, Sweeper, Violation, ViolationKind,
 };

@@ -15,7 +15,7 @@ use pfault_sim::checksum::fnv64;
 use pfault_sim::{DetRng, SectorCount, SimDuration, SimTime};
 use pfault_ssd::device::{HostCommand, Ssd};
 use pfault_ssd::{Completion, RecoveryReport, SsdConfig, VendorPreset};
-use pfault_trace::{analyze, BlockTracer};
+use pfault_trace::split;
 use pfault_workload::{ArrivalModel, WorkloadGenerator, WorkloadSpec};
 
 use crate::analyzer::{classify_all, FailureCounts, RequestVerdict};
@@ -189,10 +189,6 @@ pub struct TrialOutcome {
     pub interrupted_programs: u64,
     /// Paired-page collateral corruptions.
     pub paired_corruptions: u64,
-    /// Dirty cache sectors lost at the fault.
-    pub dirty_sectors_lost: u64,
-    /// Volatile mapping sectors lost at the fault.
-    pub map_sectors_lost: u64,
     /// Scheduler-loop events consumed (the quantity the watchdog's
     /// event budget meters).
     pub events: u64,
@@ -295,9 +291,6 @@ impl TestPlatform {
         let root = DetRng::new(self.config_digest()).fork("warmup");
         let mut ssd = Ssd::new(self.config.ssd, root.fork("ssd"));
         let mut generator = WorkloadGenerator::new(self.config.workload, root.fork("workload"));
-        let mut tracer = BlockTracer::new(SectorCount::new(self.config.ssd.max_segment_sectors));
-        let oracle = Oracle::new();
-        let mut records: Vec<RequestRecord> = Vec::new();
         let queue_depth = match self.config.workload.arrival {
             ArrivalModel::ClosedLoop { queue_depth } => queue_depth as usize,
             ArrivalModel::OpenLoop { .. } | ArrivalModel::OpenLoopPoisson { .. } => 64,
@@ -307,11 +300,8 @@ impl TestPlatform {
         let mut outstanding = 0usize;
         while issued < total || outstanding > 0 {
             while outstanding < queue_depth && issued < total {
-                let packet = generator.next_packet();
-                let subs =
-                    Self::submit_packet(&mut ssd, &mut tracer, &oracle, &mut records, packet);
+                outstanding += Self::issue(&mut ssd, generator.next_packet());
                 issued += 1;
-                outstanding += subs;
             }
             for _c in ssd.drain_completions() {
                 outstanding = outstanding.saturating_sub(1);
@@ -345,7 +335,6 @@ impl TestPlatform {
             ssd.enable_probes();
         }
         let mut generator = WorkloadGenerator::new(self.config.workload, root.fork("workload"));
-        let mut tracer = BlockTracer::new(SectorCount::new(self.config.ssd.max_segment_sectors));
         let mut oracle = Oracle::new();
         let mut records: Vec<RequestRecord> = Vec::with_capacity(self.config.requests);
 
@@ -388,14 +377,15 @@ impl TestPlatform {
                 });
             }
 
-            // Drain completions into records/oracle/tracer first, so the
-            // closed loop can refill before the idle check below.
+            // Drain completions into the request ledger and the oracle
+            // first, so the closed loop can refill before the idle check
+            // below.
             for c in ssd.drain_completions() {
                 outstanding = outstanding.saturating_sub(1);
                 if c.request_id >= FLUSH_ID_BASE {
                     continue; // FLUSH barrier: nothing to verify
                 }
-                Self::apply_completion(&mut tracer, &mut records, &mut oracle, &c);
+                Self::apply_completion(&mut records, &mut oracle, &c);
                 if records[c.request_id as usize].completed()
                     && records[c.request_id as usize].acked_at == Some(c.time)
                 {
@@ -420,13 +410,7 @@ impl TestPlatform {
                     ArrivalModel::ClosedLoop { .. } => {
                         while outstanding < queue_depth {
                             let packet = generator.next_packet();
-                            let subs = Self::submit_packet(
-                                &mut ssd,
-                                &mut tracer,
-                                &oracle,
-                                &mut records,
-                                packet,
-                            );
+                            let subs = Self::submit_packet(&mut ssd, &oracle, &mut records, packet);
                             issued += 1;
                             outstanding += subs;
                             if packet.is_write {
@@ -451,13 +435,7 @@ impl TestPlatform {
                             break;
                         }
                         pending_packet = None;
-                        let subs = Self::submit_packet(
-                            &mut ssd,
-                            &mut tracer,
-                            &oracle,
-                            &mut records,
-                            packet,
-                        );
+                        let subs = Self::submit_packet(&mut ssd, &oracle, &mut records, packet);
                         issued += 1;
                         outstanding += subs;
                     },
@@ -506,7 +484,7 @@ impl TestPlatform {
             if c.request_id >= FLUSH_ID_BASE {
                 continue;
             }
-            Self::apply_completion(&mut tracer, &mut records, &mut oracle, &c);
+            Self::apply_completion(&mut records, &mut oracle, &c);
         }
 
         // Power restore and firmware recovery, one second after full
@@ -568,14 +546,6 @@ impl TestPlatform {
             }
         };
 
-        // btt-style cross-check: the block-layer view of completion must
-        // agree with the platform's records.
-        let btt = analyze(tracer.events(), SimDuration::from_secs(30), recovery_time);
-        debug_assert!(records.iter().all(|r| {
-            btt.io(r.packet.id)
-                .is_some_and(|io| io.completed == r.completed())
-        }));
-
         // Verification + classification (reads still serve on a
         // read-only-degraded device, so the verdicts exist either way).
         let (verdicts, mut counts) = classify_all(&records, &oracle, &mut ssd);
@@ -620,8 +590,6 @@ impl TestPlatform {
             failed_ack_intervals_ms,
             interrupted_programs: flash.interrupted_programs,
             paired_corruptions: flash.paired_corruptions,
-            dirty_sectors_lost: ssd.stats().last_fault_dirty_lost,
-            map_sectors_lost: ssd.stats().last_fault_map_lost,
             events,
             recovery: Some(recovery),
             telemetry,
@@ -629,10 +597,10 @@ impl TestPlatform {
         })
     }
 
-    /// Returns the number of sub-requests submitted.
+    /// Records the packet in the request ledger and issues it. Returns
+    /// the number of sub-requests submitted.
     fn submit_packet(
         ssd: &mut Ssd,
-        tracer: &mut BlockTracer,
         oracle: &Oracle,
         records: &mut Vec<RequestRecord>,
         packet: pfault_workload::DataPacket,
@@ -642,23 +610,25 @@ impl TestPlatform {
             .lbas()
             .map(|l| oracle.expected(l).map(|v| v.data))
             .collect();
-        let subs = tracer.queue_request(
+        let queued_at = ssd.now();
+        let subs = Self::issue(ssd, packet);
+        records.push(RequestRecord::new(packet, pre, subs as u32, queued_at));
+        subs
+    }
+
+    /// Splits the packet at the device's segment limit, as the block
+    /// layer does, and submits one command per sub-request. Returns the
+    /// number of sub-requests submitted.
+    fn issue(ssd: &mut Ssd, packet: pfault_workload::DataPacket) -> usize {
+        let subs = split(
             packet.id,
             packet.lba,
             packet.sectors,
             packet.is_write,
-            ssd.now(),
+            SectorCount::new(ssd.config().max_segment_sectors),
         );
-        records.push(RequestRecord::new(
-            packet,
-            pre,
-            subs.len() as u32,
-            ssd.now(),
-        ));
         let mut offset = 0u64;
-        let count = subs.len();
-        for sub in subs {
-            tracer.dispatch(packet.id, sub.sub_id, ssd.now());
+        for sub in &subs {
             let cmd = if packet.is_write {
                 HostCommand::write(
                     packet.id,
@@ -674,18 +644,12 @@ impl TestPlatform {
             offset += sub.sectors.get();
             ssd.submit(cmd);
         }
-        count
+        subs.len()
     }
 
-    fn apply_completion(
-        tracer: &mut BlockTracer,
-        records: &mut [RequestRecord],
-        oracle: &mut Oracle,
-        c: &Completion,
-    ) {
+    fn apply_completion(records: &mut [RequestRecord], oracle: &mut Oracle, c: &Completion) {
         let record = &mut records[c.request_id as usize];
         if c.acked() {
-            tracer.complete(c.request_id, c.sub_id, c.time);
             record.note_sub_ack(c.time);
             if record.completed() && record.packet.is_write && record.acked_at == Some(c.time) {
                 // The whole request is ACKed: the host now *expects* this
@@ -700,7 +664,6 @@ impl TestPlatform {
                 }
             }
         } else {
-            tracer.error(c.request_id, c.sub_id, c.time);
             record.note_sub_error();
         }
     }
@@ -715,7 +678,6 @@ impl TestPlatform {
             ssd.enable_probes();
         }
         let mut generator = WorkloadGenerator::new(self.config.workload, root.fork("workload"));
-        let mut tracer = BlockTracer::new(SectorCount::new(self.config.ssd.max_segment_sectors));
         let mut oracle = Oracle::new();
         let mut records: Vec<RequestRecord> = Vec::new();
         let queue_depth = match self.config.workload.arrival {
@@ -727,14 +689,12 @@ impl TestPlatform {
         while issued < self.config.requests || outstanding > 0 {
             while outstanding < queue_depth && issued < self.config.requests {
                 let packet = generator.next_packet();
-                let subs =
-                    Self::submit_packet(&mut ssd, &mut tracer, &oracle, &mut records, packet);
+                outstanding += Self::submit_packet(&mut ssd, &oracle, &mut records, packet);
                 issued += 1;
-                outstanding += subs;
             }
             for c in ssd.drain_completions() {
                 outstanding = outstanding.saturating_sub(1);
-                Self::apply_completion(&mut tracer, &mut records, &mut oracle, &c);
+                Self::apply_completion(&mut records, &mut oracle, &c);
             }
             if let Some(t) = ssd.next_event() {
                 ssd.advance_to(t.max(ssd.now() + SimDuration::from_micros(1)));
@@ -759,8 +719,6 @@ impl TestPlatform {
             failed_ack_intervals_ms: Vec::new(),
             interrupted_programs: 0,
             paired_corruptions: 0,
-            dirty_sectors_lost: 0,
-            map_sectors_lost: 0,
             events: 0,
             recovery: None,
             telemetry,

@@ -90,6 +90,83 @@ mod tests {
         assert_eq!(r.acked_at, Some(SimTime::from_millis(3)));
     }
 
+    /// The request ledger and the block-layer trace must agree on the
+    /// §III-B flag: fed the same completion stream, `btt` calls a request
+    /// completed exactly when its record does, at the same instant. Every
+    /// sub count from 1 to 4 meets every fate of every sub (acked,
+    /// errored, never answered); answers arrive in nondecreasing time
+    /// order, as `Ssd::drain_completions` hands them out, here with later
+    /// fragments first and with ties.
+    #[test]
+    fn ledger_agrees_with_btt_on_every_sub_fate() {
+        use pfault_sim::SimDuration;
+        use pfault_trace::{btt, BlockTracer};
+
+        #[derive(Clone, Copy)]
+        enum Fate {
+            Acked,
+            Errored,
+            Unanswered,
+        }
+        const FATES: [Fate; 3] = [Fate::Acked, Fate::Errored, Fate::Unanswered];
+        let segment = SectorCount::new(8);
+        let mut request_id = 0u64;
+        for subs in 1..=4u32 {
+            for combo in 0..3usize.pow(subs) {
+                request_id += 1;
+                let fates: Vec<Fate> = (0..subs)
+                    .map(|i| FATES[combo / 3usize.pow(i) % 3])
+                    .collect();
+                let packet = DataPacket {
+                    id: request_id,
+                    sectors: SectorCount::new(8 * u64::from(subs) - 3),
+                    ..packet()
+                };
+                let mut tracer = BlockTracer::new(segment);
+                let fragments = tracer.queue_request(
+                    packet.id,
+                    packet.lba,
+                    packet.sectors,
+                    packet.is_write,
+                    SimTime::ZERO,
+                );
+                assert_eq!(fragments.len(), subs as usize);
+                let mut record = RequestRecord::new(
+                    packet,
+                    vec![None; packet.sectors.get() as usize],
+                    subs,
+                    SimTime::ZERO,
+                );
+                for sub in &fragments {
+                    tracer.dispatch(packet.id, sub.sub_id, SimTime::ZERO);
+                }
+                for (k, sub) in fragments.iter().rev().enumerate() {
+                    let at = SimTime::from_millis(1 + k as u64 / 2);
+                    match fates[sub.sub_id as usize] {
+                        Fate::Acked => {
+                            tracer.complete(packet.id, sub.sub_id, at);
+                            record.note_sub_ack(at);
+                        }
+                        Fate::Errored => {
+                            tracer.error(packet.id, sub.sub_id, at);
+                            record.note_sub_error();
+                        }
+                        Fate::Unanswered => {}
+                    }
+                }
+                let report = btt::analyze(
+                    tracer.events(),
+                    SimDuration::from_secs(30),
+                    SimTime::from_millis(10),
+                );
+                let io = report.io(packet.id).expect("request traced");
+                let case = format!("{subs} subs, fate combination {combo}");
+                assert_eq!(io.completed, record.completed(), "{case}");
+                assert_eq!(io.completed_at, record.acked_at, "{case}");
+            }
+        }
+    }
+
     #[test]
     fn errors_do_not_complete() {
         let mut r = RequestRecord::new(packet(), vec![None; 4], 2, SimTime::ZERO);

@@ -21,44 +21,17 @@
 //! trial (the campaign engine runs each trial under `catch_unwind`) can
 //! poison the mutex. Cache contents stay valid across such a panic —
 //! entries are only ever inserted whole — so every lock site *recovers*
-//! from poisoning instead of propagating it;
-//! [`SnapshotCacheStats::poison_recoveries`] counts how often that
-//! happened.
+//! from poisoning instead of propagating it.
+//!
+//! The cache keeps no counters: a campaign reports its own lookup as
+//! [`crate::campaign::ObservedRun::cache_hits`] and `cache_misses`.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-
-use serde::{Deserialize, Serialize};
 
 use pfault_ssd::DeviceImage;
 
 use crate::platform::TestPlatform;
-
-/// Counters for one [`SnapshotCache`], cumulative over its life.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct SnapshotCacheStats {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that had to run the warm-up.
-    pub misses: u64,
-    /// Distinct configurations currently cached.
-    pub entries: u64,
-    /// Times a lock acquisition found the mutex poisoned by a panicked
-    /// trial and recovered it.
-    pub poison_recoveries: u64,
-}
-
-impl SnapshotCacheStats {
-    /// Hits over total lookups (0.0 when nothing was looked up).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            return 0.0;
-        }
-        self.hits as f64 / total as f64
-    }
-}
 
 /// Builds a [`SnapshotCache`]. Obtained from [`SnapshotCache::builder`];
 /// it has no knobs.
@@ -70,9 +43,6 @@ impl SnapshotCacheBuilder {
     pub fn build(self) -> SnapshotCache {
         SnapshotCache {
             entries: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            poison_recoveries: AtomicU64::new(0),
         }
     }
 }
@@ -80,15 +50,12 @@ impl SnapshotCacheBuilder {
 /// A digest-keyed memo of warm [`DeviceImage`]s. See the module docs.
 pub struct SnapshotCache {
     entries: Mutex<HashMap<u64, Arc<DeviceImage>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    poison_recoveries: AtomicU64,
 }
 
 impl std::fmt::Debug for SnapshotCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SnapshotCache")
-            .field("stats", &self.stats())
+            .field("entries", &self.lock().len())
             .finish()
     }
 }
@@ -110,10 +77,9 @@ impl SnapshotCache {
     /// structurally sound even when the panic interrupted a warm-up —
     /// at worst the interrupted digest is simply absent and re-warms.
     fn lock(&self) -> MutexGuard<'_, HashMap<u64, Arc<DeviceImage>>> {
-        self.entries.lock().unwrap_or_else(|poisoned| {
-            self.poison_recoveries.fetch_add(1, Ordering::Relaxed);
-            poisoned.into_inner()
-        })
+        self.entries
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// The image for `digest` and whether the cache already held it,
@@ -129,10 +95,8 @@ impl SnapshotCache {
     ) -> (Arc<DeviceImage>, bool) {
         let mut entries = self.lock();
         if let Some(image) = entries.get(&digest).map(Arc::clone) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
             return (image, true);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         let stored = Arc::new(build());
         entries.insert(digest, Arc::clone(&stored));
         (stored, false)
@@ -145,17 +109,6 @@ impl SnapshotCache {
     pub fn warm_image_for(&self, platform: &TestPlatform) -> Arc<DeviceImage> {
         self.image_for(platform.config_digest(), || platform.warm_image())
             .0
-    }
-
-    /// Current counters.
-    pub fn stats(&self) -> SnapshotCacheStats {
-        let entries = self.lock().len() as u64;
-        SnapshotCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries,
-            poison_recoveries: self.poison_recoveries.load(Ordering::Relaxed),
-        }
     }
 }
 
@@ -218,17 +171,11 @@ mod tests {
         }));
 
         // Every lock site must recover instead of propagating: lookups
-        // still serve the intact entry, stats still read, and the
-        // recovery is counted.
+        // still serve the intact entry.
         let again = cache.warm_image_for(&platform);
         assert!(
             Arc::ptr_eq(&first, &again),
             "poison recovery must keep serving the cached image"
-        );
-        assert!(
-            cache.stats().poison_recoveries >= 1,
-            "recoveries must be counted: {:?}",
-            cache.stats()
         );
 
         // And an image-cached campaign run on the poisoned cache — the
@@ -255,17 +202,5 @@ mod tests {
             "campaign after a poisoned cache must still complete: {:?}",
             report.failures
         );
-    }
-
-    #[test]
-    fn hit_rate_is_a_fraction() {
-        let cache = SnapshotCache::default();
-        assert_eq!(cache.stats().hit_rate(), 0.0);
-        let platform = warm_platform(19);
-        let _ = cache.warm_image_for(&platform);
-        let _ = cache.warm_image_for(&platform);
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
-        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
     }
 }

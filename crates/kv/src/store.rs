@@ -29,7 +29,6 @@ use pfault_sim::{Lba, SectorCount, SimTime};
 use pfault_ssd::{
     CompletionKind, DeviceError, HostCommand, RecoveryReport, Ssd, VerifiedContent,
 };
-use pfault_trace::BlockTracer;
 
 use crate::config::KvConfig;
 use crate::frame::{Frame, FrameCodec, KvOp};
@@ -162,7 +161,6 @@ pub struct KvStore {
     ssd: Ssd,
     cfg: KvConfig,
     codec: FrameCodec,
-    tracer: BlockTracer,
     probes: ProbeLog,
     health: KvHealth,
     /// Authoritative in-memory state of *acknowledged* operations.
@@ -192,7 +190,6 @@ impl KvStore {
             ssd,
             cfg,
             codec: FrameCodec::new(),
-            tracer: BlockTracer::new(SectorCount::ONE),
             probes,
             health: KvHealth::Active,
             memtable: BTreeMap::new(),
@@ -372,22 +369,9 @@ impl KvStore {
         let tag = self.codec.encode(frame);
         let id = self.next_request;
         self.next_request += 1;
-        let now = self.ssd.now();
-        let subs = self.tracer.queue_request(id, lba, SectorCount::ONE, true, now);
-        for sub in &subs {
-            self.tracer.dispatch(id, sub.sub_id, self.ssd.now());
-            self.ssd
-                .submit(HostCommand::write(id, sub.sub_id, sub.lba, sub.sectors, tag));
-        }
-        let status = self.pump_for(id);
-        let done = self.ssd.now();
-        for sub in &subs {
-            match status {
-                IoStatus::Acked => self.tracer.complete(id, sub.sub_id, done),
-                _ => self.tracer.error(id, sub.sub_id, done),
-            }
-        }
-        status
+        self.ssd
+            .submit(HostCommand::write(id, 0, lba, SectorCount::ONE, tag));
+        self.pump_for(id)
     }
 
     fn flush(&mut self) -> IoStatus {

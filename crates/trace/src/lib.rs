@@ -4,14 +4,22 @@
 //! exact block-layer life cycle: when it was queued, whether it was
 //! dispatched, and whether *all of its sub-requests* completed before the
 //! power fault (§III-B). The authors modified `btt`'s `--per-io-dump` to
-//! extract this; this crate implements the same pipeline natively:
+//! extract this; this crate implements the same pipeline natively, as the
+//! blktrace/btt tool behind the `pfio` and `blkdump` binaries.
+//!
+//! A fault-injection trial does not trace: `pfault-platform` keeps one
+//! ledger entry per request (`RequestRecord`), and its Analyzer reads the
+//! `completed` flag from that ledger. A test in the platform's `record`
+//! module feeds one completion stream to both and requires [`btt`] to
+//! agree with the ledger on every request.
 //!
 //! * [`event`] — the block-layer action stream (`Q`, `X`, `D`, `C`, error),
 //!   with a `blkparse`-style text rendering;
-//! * [`tracer`] — [`tracer::BlockTracer`], which records events and splits
-//!   large requests into sub-requests exactly as the kernel block layer
-//!   does (the paper's modification targets precisely these split
-//!   requests);
+//! * [`tracer`] — [`split`], which splits large requests into sub-requests
+//!   exactly as the kernel block layer does (the paper's modification
+//!   targets precisely these split requests; the platform issues its
+//!   sub-requests through it too), and [`tracer::BlockTracer`], which
+//!   records events around that split;
 //! * [`btt`] — the per-IO post-processor: reassembles sub-requests,
 //!   computes per-request timing, applies the paper's 30-second timeout,
 //!   and labels each request `completed` or not.
@@ -51,4 +59,4 @@ pub use jsonl::{
     parse_trace_jsonl_line, render_trace_event, render_trace_events, ParseTraceJsonError,
 };
 pub use parse::{parse_event_line, parse_trace_text, ParseEventError};
-pub use tracer::{BlockTracer, SubRequest};
+pub use tracer::{split, BlockTracer, SubRequest};

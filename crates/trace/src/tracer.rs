@@ -3,8 +3,8 @@
 //! The kernel block layer splits requests larger than the device's segment
 //! limit into sub-requests; the paper modified `btt` specifically to trace
 //! those ("the large size requests which are divided to more than one
-//! request"). [`BlockTracer`] performs the same split at queue time and
-//! records one event stream for the post-processor.
+//! request"). [`split`] performs that split; [`BlockTracer`] applies it at
+//! queue time and records one event stream for the post-processor.
 
 use pfault_sim::{Lba, SectorCount, SimTime};
 
@@ -23,6 +23,41 @@ pub struct SubRequest {
     pub sectors: SectorCount,
     /// Write or read.
     pub is_write: bool,
+}
+
+/// Splits a request at the segment limit into the sub-requests the
+/// device sees, in ascending LBA order (`sub_id` 0, 1, …); the last one
+/// carries the remainder. A zero-sector request yields no sub-request.
+///
+/// # Panics
+///
+/// Panics if `max_segment` is zero sectors.
+pub fn split(
+    request_id: u64,
+    lba: Lba,
+    sectors: SectorCount,
+    is_write: bool,
+    max_segment: SectorCount,
+) -> Vec<SubRequest> {
+    assert!(max_segment.get() > 0, "segment limit must be positive");
+    let mut subs = Vec::new();
+    let mut remaining = sectors.get();
+    let mut cursor = lba;
+    let mut sub_id = 0u32;
+    while remaining > 0 {
+        let take = SectorCount::new(remaining.min(max_segment.get()));
+        subs.push(SubRequest {
+            request_id,
+            sub_id,
+            lba: cursor,
+            sectors: take,
+            is_write,
+        });
+        cursor += take;
+        remaining -= take.get();
+        sub_id += 1;
+    }
+    subs
 }
 
 /// Records block-layer events for later `btt`-style analysis.
@@ -54,8 +89,8 @@ impl BlockTracer {
         self.max_segment
     }
 
-    /// Queues a request: records `Q`, performs the split, records `X` per
-    /// extra fragment, and returns the sub-requests the device will see.
+    /// Queues a request: records `Q`, performs the [`split`], records `X`
+    /// per extra fragment, and returns the sub-requests the device will see.
     pub fn queue_request(
         &mut self,
         request_id: u64,
@@ -73,34 +108,17 @@ impl BlockTracer {
             sectors,
             is_write,
         });
-        let mut subs = Vec::new();
-        let mut remaining = sectors.get();
-        let mut cursor = lba;
-        let mut sub_id = 0u32;
-        while remaining > 0 {
-            let take = remaining.min(self.max_segment.get());
-            let sub = SubRequest {
+        let subs = split(request_id, lba, sectors, is_write, self.max_segment);
+        for sub in subs.iter().skip(1) {
+            self.events.push(TraceEvent {
+                time: now,
+                action: TraceAction::Split,
                 request_id,
-                sub_id,
-                lba: cursor,
-                sectors: SectorCount::new(take),
+                sub_id: sub.sub_id,
+                lba: sub.lba,
+                sectors: sub.sectors,
                 is_write,
-            };
-            if sub_id > 0 {
-                self.events.push(TraceEvent {
-                    time: now,
-                    action: TraceAction::Split,
-                    request_id,
-                    sub_id,
-                    lba: cursor,
-                    sectors: SectorCount::new(take),
-                    is_write,
-                });
-            }
-            subs.push(sub);
-            cursor += SectorCount::new(take);
-            remaining -= take;
-            sub_id += 1;
+            });
         }
         subs
     }
@@ -224,6 +242,17 @@ mod tests {
         assert_eq!(subs.len(), 3);
         assert_eq!(subs[2].sectors, SectorCount::new(50));
         assert!(!subs[2].is_write);
+    }
+
+    #[test]
+    fn split_is_what_the_tracer_queues() {
+        let mut t = BlockTracer::new(SectorCount::new(100));
+        let queued = t.queue_request(4, Lba::new(7), SectorCount::new(250), true, SimTime::ZERO);
+        let segment = SectorCount::new(100);
+        let subs = split(4, Lba::new(7), SectorCount::new(250), true, segment);
+        assert_eq!(subs, queued);
+        let empty = split(5, Lba::new(0), SectorCount::new(0), true, segment);
+        assert!(empty.is_empty());
     }
 
     #[test]
