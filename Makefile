@@ -7,6 +7,9 @@
 #                  allow-listed via cfg_attr in crates/core/src/lib.rs)
 #   make doc     — rustdoc gate: every crate's docs build with warnings
 #                  as errors, so a broken intra-doc link fails CI
+#   make fmt     — formatting gate: `cargo fmt --check` over every
+#                  workspace crate (the standalone benchmark/ package is
+#                  not a workspace member and is not checked)
 #   make sweep-smoke — bounded fault-space boundary sweep (<10 s): the
 #                  stock firmware must sweep clean, and the seeded
 #                  apply-before-verify bug must be caught and minimized
@@ -63,7 +66,7 @@
 
 CARGO ?= cargo
 
-.PHONY: all build test lint doc lint-core lint-workspace sweep-smoke obs-smoke recovery-smoke fleet-smoke kv-smoke serve-smoke plan-smoke trace-smoke golden golden-update pfbench-smoke pfbench-test check clean
+.PHONY: all build test lint doc fmt lint-core lint-workspace sweep-smoke obs-smoke recovery-smoke fleet-smoke kv-smoke serve-smoke plan-smoke trace-smoke golden golden-update pfbench-smoke pfbench-test check clean
 
 all: check
 
@@ -94,6 +97,9 @@ lint-workspace:
 	$(CARGO) clippy --workspace --all-targets -- -D warnings
 
 lint: lint-core lint-workspace
+
+fmt:
+	$(CARGO) fmt --all -- --check
 
 doc:
 	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --no-deps --workspace --offline
@@ -193,7 +199,7 @@ pfbench-smoke:
 pfbench-test:
 	$(CARGO) test --release --offline --manifest-path benchmark/Cargo.toml
 
-check: build lint doc test sweep-smoke obs-smoke recovery-smoke fleet-smoke kv-smoke serve-smoke plan-smoke trace-smoke golden pfbench-smoke pfbench-test
+check: build fmt lint doc test sweep-smoke obs-smoke recovery-smoke fleet-smoke kv-smoke serve-smoke plan-smoke trace-smoke golden pfbench-smoke pfbench-test
 
 clean:
 	$(CARGO) clean

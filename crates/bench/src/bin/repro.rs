@@ -234,17 +234,17 @@ fn main() -> ExitCode {
     }
     if list_exps {
         for e in all() {
-            let suffix = if e.in_all { "" } else { "  (not part of 'all')" };
+            let suffix = if e.in_all {
+                ""
+            } else {
+                "  (not part of 'all')"
+            };
             println!("{:<18} {}{suffix}", e.name, e.describe);
         }
         // Lives in pfault-serve (which depends on the platform, so it
         // cannot register in the platform's static registry).
         let serve = pfault_serve::experiment();
-        println!(
-            "{:<18} {}  (not part of 'all')",
-            serve.name,
-            serve.describe
-        );
+        println!("{:<18} {}  (not part of 'all')", serve.name, serve.describe);
         return ExitCode::SUCCESS;
     }
     let ctx = ExperimentCtx {

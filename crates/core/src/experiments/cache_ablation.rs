@@ -97,8 +97,11 @@ pub fn run(scale: ExperimentScale, seed: u64) -> CacheAblationReport {
             CacheVariant::Disabled => trial.ssd.cache = CacheConfig::disabled(),
             CacheVariant::Supercap => trial.ssd.supercap = true,
         }
-        let report =
-            super::run_point(campaign_at(trial, scale), seed ^ ((i as u64 + 3) << 20), scale);
+        let report = super::run_point(
+            campaign_at(trial, scale),
+            seed ^ ((i as u64 + 3) << 20),
+            scale,
+        );
         CacheRow {
             variant,
             faults: report.faults,

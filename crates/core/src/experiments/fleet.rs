@@ -248,7 +248,11 @@ fn grid(scale: ExperimentScale, seed: u64) -> Vec<FleetPoint> {
             for &correlated in &[true, false] {
                 let seed = mix64(seed, 0x464C_5054 ^ points.len() as u64);
                 let config = point_config(psu_group, parity, correlated);
-                points.push(FleetPoint { config, seed, trials });
+                points.push(FleetPoint {
+                    config,
+                    seed,
+                    trials,
+                });
             }
         }
     }
@@ -365,7 +369,8 @@ pub fn render(report: &FleetReport) -> String {
     let _ = writeln!(
         text,
         "stripe-loss events {}, degraded reads {}, rebuilds interrupted {}",
-        report.counts.stripes_lost, report.counts.degraded_reads,
+        report.counts.stripes_lost,
+        report.counts.degraded_reads,
         report.counts.rebuilds_interrupted
     );
     let _ = writeln!(

@@ -373,7 +373,8 @@ pub fn check(report: &KvReport, scale: ExperimentScale, seed: u64) -> Vec<String
     // the first point re-run on another worker count must reproduce row 0.
     let workers = if scale.threads == 1 { 2 } else { 1 };
     let rerun = grid(scale, seed)[0].run(workers);
-    let same = |r: &KvRow| (r.trials, r.loose, r.strict) == (rerun.trials, rerun.loose, rerun.strict);
+    let same =
+        |r: &KvRow| (r.trials, r.loose, r.strict) == (rerun.trials, rerun.loose, rerun.strict);
     if !report.rows.first().is_some_and(same) {
         checks.push(format!(
             "kv smoke failed: point 0 re-run on {workers} worker(s) differs from the report's row 0"
@@ -450,7 +451,10 @@ mod tests {
     fn kv_sweep_finds_every_class_and_self_checks_pass() {
         let report = run(tiny(), 7);
         let failures = check(&report, tiny(), 7);
-        assert!(failures.is_empty(), "kv self-checks must pass: {failures:?}");
+        assert!(
+            failures.is_empty(),
+            "kv self-checks must pass: {failures:?}"
+        );
         // The v5 checkpoint fields carry real application data.
         assert!(report.counts.app_masked > 0);
         assert!(report.counts.app_silent_poison > 0);

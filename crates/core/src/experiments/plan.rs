@@ -100,11 +100,7 @@ impl CensusPoint {
     /// Name and normalized weight of the failing stratum.
     pub fn vulnerable(&self) -> (String, f64) {
         let total: f64 = self.strata.iter().map(|(_, w)| w).sum();
-        let h = self
-            .rates
-            .iter()
-            .position(|&p| p > 0.0)
-            .unwrap_or_default();
+        let h = self.rates.iter().position(|&p| p > 0.0).unwrap_or_default();
         (self.strata[h].0.clone(), self.strata[h].1 / total)
     }
 }
@@ -131,10 +127,7 @@ pub fn census_point(seed: u64) -> Result<CensusPoint, PlatformError> {
             "census produced fewer than two fault-site spans; cannot stratify".to_string(),
         ));
     }
-    let strata: Vec<(String, f64)> = by_span
-        .iter()
-        .map(|(name, w)| (name.clone(), *w))
-        .collect();
+    let strata: Vec<(String, f64)> = by_span.iter().map(|(name, w)| (name.clone(), *w)).collect();
     let total: f64 = strata.iter().map(|(_, w)| w).sum();
     // The rarest span plays the vulnerable one: all failure probability
     // lives there, scaled to hold the overall rate at TARGET_RATE.
@@ -238,9 +231,8 @@ pub fn run(scale: ExperimentScale, seed: u64) -> Result<PlanExpReport, PlatformE
     let builder = Campaign::builder(config)
         .plan(campaign_ci_spec())
         .seed(seed);
-    let go = |campaign: Campaign, resume| {
-        campaign.execute(resume, &mut |_| ProgressSignal::Continue)
-    };
+    let go =
+        |campaign: Campaign, resume| campaign.execute(resume, &mut |_| ProgressSignal::Continue);
     let serial = go(builder.clone().build(), false)?.report;
     let threaded = go(builder.clone().threads(3).build(), false)?.report;
     let campaign_engines_agree = campaign_bytes(&serial) == campaign_bytes(&threaded);
@@ -320,10 +312,14 @@ pub fn check(report: &PlanExpReport) -> Vec<String> {
     }
     let thresholds: Vec<f64> = report.split.levels.iter().map(|l| l.threshold).collect();
     if thresholds.windows(2).any(|w| w[1] <= w[0]) {
-        fail(format!("splitting thresholds not ascending: {thresholds:?}"));
+        fail(format!(
+            "splitting thresholds not ascending: {thresholds:?}"
+        ));
     }
     if thresholds.last().copied() != Some(1.0) {
-        fail(format!("last splitting threshold must be 1.0: {thresholds:?}"));
+        fail(format!(
+            "last splitting threshold must be 1.0: {thresholds:?}"
+        ));
     }
     match report.split.tail_estimate {
         Some(tail) if tail > 0.0 => {

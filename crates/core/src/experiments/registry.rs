@@ -26,9 +26,9 @@ use crate::platform::{TestPlatform, Watchdog};
 use crate::sweep::{SweepConfig, Sweeper, ViolationKind};
 
 use super::{
-    access_pattern, brownout, cache_ablation, fleet, flush, injector_ablation, interval, iops,
-    kv, plan, psu, recovery, repeated, request_size, request_type, sequence, storm, vendors,
-    wear, wss, ExperimentScale,
+    access_pattern, brownout, cache_ablation, fleet, flush, injector_ablation, interval, iops, kv,
+    plan, psu, recovery, repeated, request_size, request_type, sequence, storm, vendors, wear, wss,
+    ExperimentScale,
 };
 
 /// What `--engine` selects. Every experiment folds its trials in one
@@ -216,19 +216,33 @@ fn run_fig4(_ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
     let _ = writeln!(text, "== Fig 4: PSU discharge ==");
     let _ = writeln!(text, "{}", report.table().render());
     let _ = writeln!(text, "Fig 4a series (no load):");
-    let _ = writeln!(text, "{}", psu::PsuReport::curve_table(&report.unloaded).render());
+    let _ = writeln!(
+        text,
+        "{}",
+        psu::PsuReport::curve_table(&report.unloaded).render()
+    );
     let _ = writeln!(text, "Fig 4b series (one SSD):");
-    let _ = writeln!(text, "{}", psu::PsuReport::curve_table(&report.loaded).render());
+    let _ = writeln!(
+        text,
+        "{}",
+        psu::PsuReport::curve_table(&report.loaded).render()
+    );
     clean(text, "fig4", json_of(&report))
 }
 
 fn run_interval(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
     let report = interval::run(ctx.sweep_scale(), ctx.seed, true);
     let mut text = String::new();
-    let _ = writeln!(text, "== §IV-A: interval after completion (cache enabled) ==");
+    let _ = writeln!(
+        text,
+        "== §IV-A: interval after completion (cache enabled) =="
+    );
     let _ = writeln!(text, "{}", report.table().render());
     if let Some(max) = report.max_delay_with_failure_ms() {
-        let _ = writeln!(text, "max delay with observed failure: {max} ms (paper: ~700 ms)\n");
+        let _ = writeln!(
+            text,
+            "max delay with observed failure: {max} ms (paper: ~700 ms)\n"
+        );
     }
     clean(text, "interval", json_of(&report))
 }
@@ -236,7 +250,10 @@ fn run_interval(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> 
 fn run_interval_nocache(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
     let report = interval::run(ctx.sweep_scale(), ctx.seed ^ 1, false);
     let mut text = String::new();
-    let _ = writeln!(text, "== §IV-A: interval after completion (cache DISABLED) ==");
+    let _ = writeln!(
+        text,
+        "== §IV-A: interval after completion (cache DISABLED) =="
+    );
     let _ = writeln!(text, "{}", report.table().render());
     if let Some(max) = report.max_delay_with_failure_ms() {
         let _ = writeln!(
@@ -345,7 +362,10 @@ fn run_ablation_cache(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformE
 fn run_brownout(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
     let report = brownout::run(ctx.sweep_scale(), ctx.seed);
     let mut text = String::new();
-    let _ = writeln!(text, "== Extension: transient sag (brownout) depth sweep ==");
+    let _ = writeln!(
+        text,
+        "== Extension: transient sag (brownout) depth sweep =="
+    );
     let _ = writeln!(text, "{}", report.table().render());
     clean(text, "brownout", json_of(&report))
 }
@@ -353,7 +373,10 @@ fn run_brownout(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> 
 fn run_wear(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
     let report = wear::run(ctx.sweep_scale(), ctx.seed);
     let mut text = String::new();
-    let _ = writeln!(text, "== Extension: device age (P/E cycles) vs fault damage ==");
+    let _ = writeln!(
+        text,
+        "== Extension: device age (P/E cycles) vs fault damage =="
+    );
     let _ = writeln!(text, "{}", report.table().render());
     clean(text, "wear", json_of(&report))
 }
@@ -369,7 +392,10 @@ fn run_flush(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
 fn run_recovery(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
     let report = recovery::run(ctx.sweep_scale(), ctx.seed);
     let mut text = String::new();
-    let _ = writeln!(text, "== Extension: recovery policy (journal replay vs full scan) ==");
+    let _ = writeln!(
+        text,
+        "== Extension: recovery policy (journal replay vs full scan) =="
+    );
     let _ = writeln!(text, "{}", report.table().render());
     let _ = writeln!(
         text,
@@ -624,7 +650,9 @@ fn run_campaign(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> 
                     break;
                 }
                 Err(e) => {
-                    checks.push(format!("obs smoke failed: line {i} does not parse back: {e}"));
+                    checks.push(format!(
+                        "obs smoke failed: line {i} does not parse back: {e}"
+                    ));
                     break;
                 }
             }
@@ -670,7 +698,10 @@ fn run_sweep(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
         report.sites_censused, report.trials
     );
     if report.violations.is_empty() {
-        let _ = writeln!(text, "no invariant violations (recovery is torn-write safe)");
+        let _ = writeln!(
+            text,
+            "no invariant violations (recovery is torn-write safe)"
+        );
     }
     for v in &report.violations {
         let _ = writeln!(
@@ -723,9 +754,7 @@ fn run_sweep(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
                         v.kind.name()
                     );
                     if o.inject_crc_bug && repro.ops.len() > 3 {
-                        checks.push(
-                            "sweep smoke failed: repro did not shrink below 4 ops".into(),
-                        );
+                        checks.push("sweep smoke failed: repro did not shrink below 4 ops".into());
                     }
                 }
                 None => {
@@ -961,7 +990,11 @@ mod tests {
         assert_eq!(report.json_key, "campaign");
         assert!(report.text.contains("engine stealing with 2 thread(s)"));
         assert!(report.text.contains("warm-up 8 request(s)"));
-        assert!(report.check_failures.is_empty(), "{:?}", report.check_failures);
+        assert!(
+            report.check_failures.is_empty(),
+            "{:?}",
+            report.check_failures
+        );
         let faults = report
             .json
             .as_object()

@@ -103,8 +103,11 @@ pub fn run(scale: ExperimentScale, seed: u64) -> SequenceReport {
                 .wss_bytes(64 * GIB)
                 .sequence(mode)
                 .build();
-            let report =
-                super::run_point(campaign_at(trial, scale), seed ^ ((i as u64 + 1) << 16), scale);
+            let report = super::run_point(
+                campaign_at(trial, scale),
+                seed ^ ((i as u64 + 1) << 16),
+                scale,
+            );
             SequenceRow {
                 mode,
                 faults: report.faults,

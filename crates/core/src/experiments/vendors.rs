@@ -91,8 +91,11 @@ pub fn run(scale: ExperimentScale, seed: u64) -> VendorReport {
                 .wss_bytes(64 * GIB)
                 .write_fraction(1.0)
                 .build();
-            let report =
-                super::run_point(campaign_at(trial, scale), seed ^ ((i as u64 + 11) << 24), scale);
+            let report = super::run_point(
+                campaign_at(trial, scale),
+                seed ^ ((i as u64 + 11) << 24),
+                scale,
+            );
             VendorRow {
                 preset,
                 label: preset.label().to_string(),

@@ -75,8 +75,11 @@ pub fn run(scale: ExperimentScale, seed: u64) -> WearReport {
                 .wss_bytes(64 * GIB)
                 .write_fraction(1.0)
                 .build();
-            let report =
-                super::run_point(campaign_at(trial, scale), seed ^ (u64::from(cycles) << 5), scale);
+            let report = super::run_point(
+                campaign_at(trial, scale),
+                seed ^ (u64::from(cycles) << 5),
+                scale,
+            );
             WearRow {
                 cycles,
                 faults: report.faults,

@@ -536,7 +536,8 @@ impl PlanState {
             ));
         }
         let total: f64 = strata.iter().map(|(_, w)| *w).sum();
-        if total.is_nan() || total <= 0.0 || strata.iter().any(|(_, w)| *w <= 0.0 || !w.is_finite()) {
+        if total.is_nan() || total <= 0.0 || strata.iter().any(|(_, w)| *w <= 0.0 || !w.is_finite())
+        {
             return Err(PlatformError::InvalidConfig(
                 "stratum weights must be positive and finite".to_string(),
             ));
@@ -653,11 +654,7 @@ impl PlanState {
                 .map(|i| each + u64::from((i as u64) < extra))
                 .collect();
         }
-        let exploit: Vec<f64> = self
-            .strata
-            .iter()
-            .map(|t| t.weight * t.sigma())
-            .collect();
+        let exploit: Vec<f64> = self.strata.iter().map(|t| t.weight * t.sigma()).collect();
         let explore: Vec<f64> = self
             .strata
             .iter()
@@ -1079,7 +1076,13 @@ fn run_splitting<P: PlanPoint>(
                 }
             }
         };
-        let est = draw(&mut attempt, &mut state, floor, per_level, SPLIT_PHASE_BUDGET);
+        let est = draw(
+            &mut attempt,
+            &mut state,
+            floor,
+            per_level,
+            SPLIT_PHASE_BUDGET,
+        );
         let samples = est.len() as u64;
         let passed = est.iter().filter(|&&s| s >= threshold).count() as u64;
         let conditional = if samples == 0 {
@@ -1200,7 +1203,9 @@ mod tests {
         assert_eq!(s, PlanSpec::split(4));
         assert_eq!(PlanSpec::parse(&s.render()).unwrap(), s);
 
-        for bad in ["", "fixed", "fixed:0", "ci:0.9", "ci:abc", "split:0", "nope:3"] {
+        for bad in [
+            "", "fixed", "fixed:0", "ci:0.9", "ci:abc", "split:0", "nope:3",
+        ] {
             assert!(PlanSpec::parse(bad).is_err(), "`{bad}` should not parse");
         }
     }

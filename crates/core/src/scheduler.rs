@@ -99,7 +99,11 @@ impl SchedulerStats {
         if self.workers.is_empty() {
             return 0.0;
         }
-        self.workers.iter().map(WorkerStats::utilization).sum::<f64>() / self.workers.len() as f64
+        self.workers
+            .iter()
+            .map(WorkerStats::utilization)
+            .sum::<f64>()
+            / self.workers.len() as f64
     }
 }
 
@@ -137,16 +141,15 @@ impl Shared {
     /// scanned in a fixed ring order — determinism of the *results* never
     /// depends on who wins a steal race, only the stats do).
     fn find_work(&self, me: usize, stats: &mut WorkerStats) -> Option<u64> {
-        if let Some(i) = self.deques[me].lock().expect("worker deque lock").pop_front() {
+        if let Some(i) = self.deques[me]
+            .lock()
+            .expect("worker deque lock")
+            .pop_front()
+        {
             self.started.fetch_add(1, Ordering::AcqRel);
             return Some(i);
         }
-        if let Some((lo, hi)) = self
-            .injector
-            .lock()
-            .expect("injector lock")
-            .pop_front()
-        {
+        if let Some((lo, hi)) = self.injector.lock().expect("injector lock").pop_front() {
             stats.injector_batches += 1;
             let mut own = self.deques[me].lock().expect("worker deque lock");
             own.extend(lo..hi);
@@ -365,7 +368,10 @@ mod tests {
             },
         );
         assert_eq!(seen, serial_fold(10, |i| i * 3 + 1));
-        assert_eq!((stats.threads, stats.trials, stats.chunk), (1, 10, DEFAULT_CHUNK));
+        assert_eq!(
+            (stats.threads, stats.trials, stats.chunk),
+            (1, 10, DEFAULT_CHUNK)
+        );
         let worker = &stats.workers[..];
         assert_eq!(worker.len(), 1);
         assert_eq!(worker[0].trials_run, 10);

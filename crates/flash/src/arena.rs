@@ -183,7 +183,15 @@ mod tests {
         a.push_erased(0, 0);
         a.push_erased(1, 0);
         let (meta, pages) = a.block_mut(1);
-        program_page(meta, pages, 1, 0, PageData::from_tag(7), Oob::user(Lba::new(1), 1)).unwrap();
+        program_page(
+            meta,
+            pages,
+            1,
+            0,
+            PageData::from_tag(7),
+            Oob::user(Lba::new(1), 1),
+        )
+        .unwrap();
         // Block 0 untouched, block 1 carries the program.
         assert!(matches!(a.pages(0)[0], PageState::Erased));
         assert!(matches!(a.pages(1)[0], PageState::Programmed { .. }));
@@ -196,7 +204,15 @@ mod tests {
         let mut src = BlockArena::new(2);
         src.push_erased(4, 1);
         let (meta, pages) = src.block_mut(0);
-        program_page(meta, pages, 4, 0, PageData::from_tag(3), Oob::user(Lba::new(0), 1)).unwrap();
+        program_page(
+            meta,
+            pages,
+            4,
+            0,
+            PageData::from_tag(3),
+            Oob::user(Lba::new(0), 1),
+        )
+        .unwrap();
 
         let mut dst = BlockArena::new(2);
         let slot = dst.push_copy(4, *src.meta(0), src.pages(0));

@@ -1087,7 +1087,12 @@ mod tests {
 
     /// Drives identical post-snapshot work on two arrays and asserts every
     /// observable matches.
-    fn drive_identically(a: &mut FlashArray, b: &mut FlashArray, rng_a: &mut DetRng, rng_b: &mut DetRng) {
+    fn drive_identically(
+        a: &mut FlashArray,
+        b: &mut FlashArray,
+        rng_a: &mut DetRng,
+        rng_b: &mut DetRng,
+    ) {
         for (arr, rng) in [(&mut *a, rng_a), (&mut *b, rng_b)] {
             arr.program(
                 Ppa::new(1, 0),

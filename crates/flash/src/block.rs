@@ -279,7 +279,14 @@ impl Block {
         data: PageData,
         oob: Oob,
     ) -> Result<(), FlashError> {
-        program_page(&mut self.meta, &mut self.pages, block_index, page, data, oob)
+        program_page(
+            &mut self.meta,
+            &mut self.pages,
+            block_index,
+            page,
+            data,
+            oob,
+        )
     }
 
     /// Erases the whole block.

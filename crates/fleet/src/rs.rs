@@ -325,8 +325,7 @@ mod tests {
         let parity = code.encode(&data);
         let mut poisoned = data[0].clone();
         poisoned[0] ^= 0xFF;
-        let avail: Vec<(usize, &[u8])> =
-            vec![(0, poisoned.as_slice()), (2, parity[0].as_slice())];
+        let avail: Vec<(usize, &[u8])> = vec![(0, poisoned.as_slice()), (2, parity[0].as_slice())];
         let rebuilt = code.reconstruct(&avail).expect("decode proceeds");
         assert_ne!(rebuilt, data, "corruption must surface as wrong bytes");
     }

@@ -127,7 +127,10 @@ impl FleetConfig {
     /// Panics unless the topology is coherent (width ≤ devices, PSU
     /// groups tile the fleet, stripes fit on a device).
     fn validate(&self) {
-        assert!(self.data_chunks >= 1, "stripes need at least one data chunk");
+        assert!(
+            self.data_chunks >= 1,
+            "stripes need at least one data chunk"
+        );
         assert!(
             self.width() <= self.devices,
             "stripe width {} exceeds fleet size {}",
@@ -549,8 +552,8 @@ impl FleetSim {
             if victims_of_write.contains(&s) {
                 continue;
             }
-            let all_writable = (0..self.config.width())
-                .all(|c| self.devices[self.device_for(s, c)].writable());
+            let all_writable =
+                (0..self.config.width()).all(|c| self.devices[self.device_for(s, c)].writable());
             if !all_writable {
                 continue;
             }
@@ -660,9 +663,7 @@ impl FleetSim {
                     self.replace_device(d, recovery_time);
                     return;
                 }
-                Err(
-                    DeviceError::MountFailed { .. } | DeviceError::RecoveryInterrupted { .. },
-                ) => {
+                Err(DeviceError::MountFailed { .. } | DeviceError::RecoveryInterrupted { .. }) => {
                     self.tally.mount_retries += 1;
                     recovery_time = self.devices[d].ssd.now() + backoff;
                     backoff = backoff * 2;
@@ -782,8 +783,7 @@ impl FleetSim {
         let m = self.config.data_chunks;
         let mut scans = Vec::with_capacity(self.config.stripes as usize);
         for s in 0..self.config.stripes {
-            let states: Vec<ChunkState> =
-                (0..width).map(|c| self.classify_chunk(s, c)).collect();
+            let states: Vec<ChunkState> = (0..width).map(|c| self.classify_chunk(s, c)).collect();
             let current = states.iter().filter(|st| st.is_current()).count();
             self.tally.stripe_observations += 1;
             for st in &states {
@@ -952,8 +952,10 @@ impl FleetSim {
                 }
             }
             // Charge bandwidth; a dry budget interrupts the whole pass.
-            let source_devs: Vec<usize> =
-                sources.iter().map(|&c| self.device_for(stripe, c)).collect();
+            let source_devs: Vec<usize> = sources
+                .iter()
+                .map(|&c| self.device_for(stripe, c))
+                .collect();
             let budget_ok = write_budget[target] >= chunk_cost
                 && source_devs.iter().all(|&d| read_budget[d] >= chunk_cost);
             if !budget_ok {
@@ -982,9 +984,10 @@ impl FleetSim {
                 .iter()
                 .map(|&c| (c, payloads[c].as_slice()))
                 .collect();
-            let rebuilt = self
-                .code
-                .chunk_payload(chunk, &self.code.reconstruct(&available).expect("m sources"));
+            let rebuilt = self.code.chunk_payload(
+                chunk,
+                &self.code.reconstruct(&available).expect("m sources"),
+            );
             assert_eq!(
                 rebuilt, payloads[chunk],
                 "rebuild of stripe {stripe} chunk {chunk} diverged"
@@ -1133,7 +1136,10 @@ mod tests {
             m.stripe_observations,
             a.stripe_observations + b.stripe_observations
         );
-        assert_eq!(m.stripes_ever_lost, a.stripes_ever_lost + b.stripes_ever_lost);
+        assert_eq!(
+            m.stripes_ever_lost,
+            a.stripes_ever_lost + b.stripes_ever_lost
+        );
         assert!(m.availability() <= 1.0 && m.availability() > 0.0);
         assert!(m.durability() <= 1.0);
         match m.mttdl_hours() {

@@ -154,8 +154,7 @@ pub fn mapping_rebuild(
         // OOB scan: adopt the newest readable user page per sector.
         // Pages must actually decode (the scan reads them back), so
         // interrupted programs and paired-corrupted pages stay out.
-        let mut newest: pfault_sim::DetHashMap<Lba, (u64, Ppa)> =
-            pfault_sim::DetHashMap::default();
+        let mut newest: pfault_sim::DetHashMap<Lba, (u64, Ppa)> = pfault_sim::DetHashMap::default();
         let candidates: Vec<(Ppa, u64, Lba)> = array
             .scan()
             .filter_map(|(ppa, data, oob, _)| {
@@ -195,7 +194,13 @@ pub fn mapping_rebuild(
         }
     }
     stats.map_entries = map.len() as u64;
-    let ftl = Ftl::from_rebuilt_map(config, map, durable.len() as u64, checkpoints.len() as u64, array);
+    let ftl = Ftl::from_rebuilt_map(
+        config,
+        map,
+        durable.len() as u64,
+        checkpoints.len() as u64,
+        array,
+    );
     (ftl, stats)
 }
 

@@ -59,7 +59,10 @@ impl KvConfig {
     pub fn validate(&self) {
         assert!(self.key_space > 0, "key space must be non-empty");
         assert!(self.group_commit_ops > 0, "group commit needs a batch size");
-        assert!(self.checkpoint_every_ops > 0, "checkpoint cadence must be positive");
+        assert!(
+            self.checkpoint_every_ops > 0,
+            "checkpoint cadence must be positive"
+        );
         assert!(
             self.wal_slots > self.group_commit_ops,
             "WAL ring must hold more than one commit group"

@@ -182,7 +182,10 @@ mod tests {
                 key: 3,
                 value: Some(99),
             },
-            Frame::CkptValue { key: 3, value: None },
+            Frame::CkptValue {
+                key: 3,
+                value: None,
+            },
             Frame::CkptSeal {
                 generation: 2,
                 upto_seq: 40,

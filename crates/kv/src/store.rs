@@ -26,9 +26,7 @@ use serde::{Deserialize, Serialize};
 use pfault_obs::{Layer, ProbeEvent, ProbeLog, ProbeRecord};
 use pfault_power::FaultTimeline;
 use pfault_sim::{Lba, SectorCount, SimTime};
-use pfault_ssd::{
-    CompletionKind, DeviceError, HostCommand, RecoveryReport, Ssd, VerifiedContent,
-};
+use pfault_ssd::{CompletionKind, DeviceError, HostCommand, RecoveryReport, Ssd, VerifiedContent};
 
 use crate::config::KvConfig;
 use crate::frame::{Frame, FrameCodec, KvOp};
@@ -779,14 +777,13 @@ impl KvStore {
         };
         if read_only {
             let now = self.ssd.now();
-            self.probes
-                .emit(
-                    now,
-                    Layer::App,
-                    ProbeEvent::AppReadOnly {
-                        retries: u64::from(retries),
-                    },
-                );
+            self.probes.emit(
+                now,
+                Layer::App,
+                ProbeEvent::AppReadOnly {
+                    retries: u64::from(retries),
+                },
+            );
         }
         let replay = self.rebuild();
         let now = self.ssd.now();

@@ -41,7 +41,11 @@ impl KvTrialConfig {
     /// A trial-sized device derived from a vendor preset: the vendor's
     /// cell/ECC/cache/supercap identity on a small geometry, with the
     /// paper's observed transient mount failures enabled.
-    pub fn device_for(preset: VendorPreset, cache_enabled: bool, verify_batch_crc: bool) -> SsdConfig {
+    pub fn device_for(
+        preset: VendorPreset,
+        cache_enabled: bool,
+        verify_batch_crc: bool,
+    ) -> SsdConfig {
         let vendor = preset.config();
         let geometry = FlashGeometry::new(1 << 10, 64);
         let mut config = SsdConfig::consumer(geometry, vendor.cell_kind, vendor.ecc);

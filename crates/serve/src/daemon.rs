@@ -167,7 +167,9 @@ impl Shared {
 
     fn update_job(&self, id: u64, f: impl FnOnce(&mut JobStatus)) {
         let mut jobs = lock_rec(&self.jobs);
-        let entry = jobs.entry(id).or_insert_with(|| JobStatus::new("queued", 0));
+        let entry = jobs
+            .entry(id)
+            .or_insert_with(|| JobStatus::new("queued", 0));
         f(entry);
         drop(jobs);
         self.jobs_cv.notify_all();
@@ -558,8 +560,8 @@ fn run_campaign_job(shared: &Arc<Shared>, id: u64, spec: &JobSpec) -> Result<boo
                 next_seq += 1;
             }
         }
-        let metrics = (p.checkpointed && !p.report.obs.is_empty())
-            .then(|| render_aggregate(&p.report.obs));
+        let metrics =
+            (p.checkpointed && !p.report.obs.is_empty()).then(|| render_aggregate(&p.report.obs));
         let convergence = p.report.plan.as_ref().map(|s| s.progress_line());
         let seq_now = next_seq;
         let trials_now = p.trials;
@@ -595,7 +597,9 @@ fn run_campaign_job(shared: &Arc<Shared>, id: u64, spec: &JobSpec) -> Result<boo
         return Ok(false);
     }
     let report_json = serde_json::to_string(&run.report).map_err(|e| e.to_string())?;
-    spool.write_done(id, &report_json).map_err(|e| e.to_string())?;
+    spool
+        .write_done(id, &report_json)
+        .map_err(|e| e.to_string())?;
     let total = run.completed;
     let metrics = (!run.report.obs.is_empty()).then(|| render_aggregate(&run.report.obs));
     let convergence = run.report.plan.as_ref().map(|s| s.progress_line());
@@ -640,7 +644,9 @@ fn run_registry_job(shared: &Arc<Shared>, id: u64, spec: &JobSpec) -> Result<boo
     let report = (exp.run)(&ctx).map_err(|e| e.to_string())?;
     let report_json = serde_json::to_string(&report.json).map_err(|e| e.to_string())?;
     spool.clear_events(id).map_err(|e| e.to_string())?;
-    spool.write_done(id, &report_json).map_err(|e| e.to_string())?;
+    spool
+        .write_done(id, &report_json)
+        .map_err(|e| e.to_string())?;
     let done = JobEvent {
         job: id,
         seq: 0,
@@ -656,11 +662,7 @@ fn run_registry_job(shared: &Arc<Shared>, id: u64, spec: &JobSpec) -> Result<boo
     Ok(true)
 }
 
-fn accept_loop(
-    shared: &Arc<Shared>,
-    listener: TcpListener,
-    conns: &Arc<Mutex<Vec<Conn>>>,
-) {
+fn accept_loop(shared: &Arc<Shared>, listener: TcpListener, conns: &Arc<Mutex<Vec<Conn>>>) {
     loop {
         let accepted = listener.accept();
         // Checked after `accept` returns, so teardown's wake-up

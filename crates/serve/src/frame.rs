@@ -69,7 +69,10 @@ impl std::fmt::Display for FrameError {
             FrameError::BadMagic(m) => write!(f, "bad frame magic {m:02x?}"),
             FrameError::Oversize(n) => write!(f, "frame payload of {n} bytes exceeds limit"),
             FrameError::CrcMismatch { expected, found } => {
-                write!(f, "frame crc mismatch: header {expected:#010x}, payload {found:#010x}")
+                write!(
+                    f,
+                    "frame crc mismatch: header {expected:#010x}, payload {found:#010x}"
+                )
             }
             FrameError::Io(e) => write!(f, "frame io error: {e}"),
         }

@@ -252,7 +252,10 @@ mod tests {
             Request::Submit {
                 spec: JobSpec::tiny_adaptive(7),
             },
-            Request::Attach { job: 3, from_seq: 9 },
+            Request::Attach {
+                job: 3,
+                from_seq: 9,
+            },
             Request::Status,
             Request::Metrics { job: 3 },
             Request::Shutdown,

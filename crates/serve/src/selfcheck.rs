@@ -54,8 +54,7 @@ fn run(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
         let _ = writeln!(text, "  all daemon self-checks passed");
     }
     text.push('\n');
-    let json = serde_json::to_value(&outcome.summary)
-        .unwrap_or(serde_json::Value::Null);
+    let json = serde_json::to_value(&outcome.summary).unwrap_or(serde_json::Value::Null);
     Ok(ExperimentReport {
         text,
         json_key: "serve",
@@ -89,7 +88,8 @@ struct Outcome {
 }
 
 fn scratch_dir(name: &str, seed: u64) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("pfault-serve-{name}-{seed}-{}", std::process::id()));
+    let dir =
+        std::env::temp_dir().join(format!("pfault-serve-{name}-{seed}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -155,24 +155,22 @@ fn run_selfcheck(seed: u64) -> Outcome {
         Ok(daemon) => {
             let addr = daemon.local_addr().to_string();
             match Client::connect(&addr, 5_000) {
-                Ok(mut client) => {
-                    match client.submit(&spec) {
-                        Ok(Some(id)) => {
-                            job_id = id;
-                            match client.attach(id, 0) {
-                                Ok(stream) => {
-                                    for event in stream.take(2).flatten() {
-                                        seen_seqs.insert(event.seq);
-                                        events_before_kill += 1;
-                                    }
+                Ok(mut client) => match client.submit(&spec) {
+                    Ok(Some(id)) => {
+                        job_id = id;
+                        match client.attach(id, 0) {
+                            Ok(stream) => {
+                                for event in stream.take(2).flatten() {
+                                    seen_seqs.insert(event.seq);
+                                    events_before_kill += 1;
                                 }
-                                Err(e) => fail(&mut failures, format!("attach failed: {e}")),
                             }
+                            Err(e) => fail(&mut failures, format!("attach failed: {e}")),
                         }
-                        Ok(None) => fail(&mut failures, "fresh daemon answered Busy".to_string()),
-                        Err(e) => fail(&mut failures, format!("submit failed: {e}")),
                     }
-                }
+                    Ok(None) => fail(&mut failures, "fresh daemon answered Busy".to_string()),
+                    Err(e) => fail(&mut failures, format!("submit failed: {e}")),
+                },
                 Err(e) => fail(&mut failures, format!("connect to daemon A failed: {e}")),
             }
             // Power cut: the client's stream dies with the daemon.
@@ -228,9 +226,8 @@ fn run_selfcheck(seed: u64) -> Outcome {
                         // Exactly-once: the union of both attaches is
                         // dense 0..n with a terminal record.
                         let n = seen_seqs.len() as u64;
-                        exactly_once = n > 0
-                            && seen_seqs.iter().copied().eq(0..n)
-                            && done_body.is_some();
+                        exactly_once =
+                            n > 0 && seen_seqs.iter().copied().eq(0..n) && done_body.is_some();
                         if !exactly_once {
                             fail(
                                 &mut failures,
@@ -270,9 +267,9 @@ fn run_selfcheck(seed: u64) -> Outcome {
                 match client.call(&Request::Metrics { job: job_id }) {
                     Ok(Response::MetricsSnapshot { jsonl, .. }) => {
                         let parses = !jsonl.is_empty()
-                            && jsonl.lines().all(|l| {
-                                serde_json::from_str::<serde_json::Value>(l).is_ok()
-                            })
+                            && jsonl
+                                .lines()
+                                .all(|l| serde_json::from_str::<serde_json::Value>(l).is_ok())
                             && jsonl.contains("\"counter\"");
                         if !parses {
                             fail(
@@ -392,8 +389,7 @@ fn run_selfcheck(seed: u64) -> Outcome {
             // closed last.
             daemon.join();
             let spool = crate::spool::Spool::open(&spool_c).expect("spool reopens");
-            drain_left_resumable_checkpoint =
-                spool.jobs().iter().any(|&j| spool.has_checkpoint(j));
+            drain_left_resumable_checkpoint = spool.jobs().iter().any(|&j| spool.has_checkpoint(j));
             if !drain_left_resumable_checkpoint {
                 fail(
                     &mut failures,
@@ -424,7 +420,10 @@ fn run_selfcheck(seed: u64) -> Outcome {
     let adaptive_reference = campaign_for(&adaptive_spec)
         .and_then(|c| run_locally(c.build()))
         .and_then(|r| serde_json::to_string(&r).map_err(|e| e.to_string()));
-    match (adaptive_reference, Daemon::start(DaemonConfig::new(&spool_p))) {
+    match (
+        adaptive_reference,
+        Daemon::start(DaemonConfig::new(&spool_p)),
+    ) {
         (Ok(reference), Ok(daemon)) => {
             let addr = daemon.local_addr().to_string();
             if let Ok(mut client) = Client::connect(&addr, 5_000) {
@@ -467,7 +466,10 @@ fn run_selfcheck(seed: u64) -> Outcome {
                             );
                         }
                     }
-                    other => fail(&mut failures, format!("adaptive status reply wrong: {other:?}")),
+                    other => fail(
+                        &mut failures,
+                        format!("adaptive status reply wrong: {other:?}"),
+                    ),
                 }
             }
             daemon.kill();
@@ -492,9 +494,7 @@ fn run_selfcheck(seed: u64) -> Outcome {
             exactly_once,
             busy_observed,
             rejected_while_draining,
-            garbage_rejected_cleanly: failures
-                .iter()
-                .all(|f| !f.contains("garbage connection")),
+            garbage_rejected_cleanly: failures.iter().all(|f| !f.contains("garbage connection")),
             drain_left_resumable_checkpoint,
             adaptive_report_matches_local_plan: adaptive_matches,
             adaptive_convergence_reported: adaptive_convergence,

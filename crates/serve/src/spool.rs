@@ -83,8 +83,7 @@ impl Spool {
     /// Durably records a job spec (atomic tmp+rename). Must complete
     /// before the daemon acknowledges the submission.
     pub fn write_spec(&self, job: u64, spec: &JobSpec) -> std::io::Result<()> {
-        let text = serde_json::to_string(spec)
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
+        let text = serde_json::to_string(spec).map_err(|e| std::io::Error::other(e.to_string()))?;
         self.write_atomic(&self.spec_path(job), &text)
     }
 
@@ -96,8 +95,8 @@ impl Spool {
 
     /// Appends one record to the job's result journal and flushes it.
     pub fn append_event(&self, event: &JobEvent) -> std::io::Result<()> {
-        let mut line = serde_json::to_string(event)
-            .map_err(|e| std::io::Error::other(e.to_string()))?;
+        let mut line =
+            serde_json::to_string(event).map_err(|e| std::io::Error::other(e.to_string()))?;
         line.push('\n');
         let mut f = fs::OpenOptions::new()
             .create(true)
@@ -315,13 +314,17 @@ mod tests {
         spool.append_event(&event(2, 0, 2)).unwrap();
         // Checkpoint got ahead of the journal (crash between rename
         // and append): reconcile journals the announcement.
-        let n = spool.reconcile_events(2, 10, Some((4, "{\"r\":1}"))).unwrap();
+        let n = spool
+            .reconcile_events(2, 10, Some((4, "{\"r\":1}")))
+            .unwrap();
         assert_eq!(n, 2);
         let events = spool.read_events(2);
         assert_eq!(events[1].completed, 4);
         assert_eq!(events[1].kind, "progress");
         // Idempotent: a second reconcile appends nothing.
-        let n = spool.reconcile_events(2, 10, Some((4, "{\"r\":1}"))).unwrap();
+        let n = spool
+            .reconcile_events(2, 10, Some((4, "{\"r\":1}")))
+            .unwrap();
         assert_eq!(n, 2);
         assert_eq!(spool.read_events(2).len(), 2);
     }
@@ -336,7 +339,9 @@ mod tests {
         drop(f);
         // Reconcile drops the torn half-record and re-synthesizes the
         // missing announcement; later appends must not merge with it.
-        let n = spool.reconcile_events(5, 10, Some((4, "{\"r\":1}"))).unwrap();
+        let n = spool
+            .reconcile_events(5, 10, Some((4, "{\"r\":1}")))
+            .unwrap();
         assert_eq!(n, 2);
         spool.append_event(&event(5, 2, 6)).unwrap();
         let events = spool.read_events(5);

@@ -14,10 +14,8 @@ use pfault_serve::proto::{JobSpec, Request, Response};
 use pfault_serve::spool::Spool;
 
 fn scratch(name: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "pfault-crash-resume-{name}-{}",
-        std::process::id()
-    ));
+    let dir =
+        std::env::temp_dir().join(format!("pfault-crash-resume-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -78,7 +76,10 @@ fn killed_daemon_resumes_byte_identically_with_exactly_once_delivery() {
         }
         daemon.kill();
     }
-    assert!(!seen.is_empty(), "need at least one acked event before the kill");
+    assert!(
+        !seen.is_empty(),
+        "need at least one acked event before the kill"
+    );
 
     // Widen the crash window: whatever the journal's last record was,
     // tear it off. The checkpoint on disk is now strictly ahead of the

@@ -231,7 +231,9 @@ impl WriteCache {
             };
             self.clean_index.remove(&(at, lba));
             debug_assert!(
-                self.entries.get(&lba).is_some_and(|e| !e.dirty && !e.flushing),
+                self.entries
+                    .get(&lba)
+                    .is_some_and(|e| !e.dirty && !e.flushing),
                 "clean index out of sync at {lba:?}"
             );
             self.entries.remove(&lba);

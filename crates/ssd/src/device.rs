@@ -706,10 +706,7 @@ impl Ssd {
 
     /// Mounted (fully or read-only): the firmware serves reads.
     fn is_mounted(&self) -> bool {
-        matches!(
-            self.state,
-            PowerState::Operational | PowerState::ReadOnly
-        )
+        matches!(self.state, PowerState::Operational | PowerState::ReadOnly)
     }
 
     /// Whether an interrupted recovery pipeline is waiting to be resumed
@@ -861,10 +858,7 @@ impl Ssd {
             consider(self.next_commit_at.max(self.now));
         }
         // A dirty entry becomes flushable when it ages past the delay.
-        if self.has_free_lane()
-            && !self.powered_down()
-            && self.ftl.available_blocks() > 0
-        {
+        if self.has_free_lane() && !self.powered_down() && self.ftl.available_blocks() > 0 {
             if let Some(ready) = self.flush_ready_time() {
                 consider(ready.max(self.now));
             }
@@ -885,8 +879,7 @@ impl Ssd {
         let inserted_at = self.cache.peek_flushable_inserted_at()?;
         let under_pressure = self.cache.dirty_sectors() as f64
             >= self.cache.capacity() as f64 * self.config.cache.pressure_watermark;
-        let old_enough =
-            self.now.saturating_since(inserted_at) >= self.config.cache.flush_delay;
+        let old_enough = self.now.saturating_since(inserted_at) >= self.config.cache.flush_delay;
         if old_enough || under_pressure {
             Some(self.now)
         } else {
@@ -2172,8 +2165,8 @@ impl Ssd {
                 // Checkpoint snapshots span several pages (their program
                 // is modelled as 4 back-to-back page programs); their
                 // read-back costs the same factor.
-                let ckpt_reads = scan.stats.checkpoints_unreadable
-                    + u64::from(scan.stats.checkpoint_restored);
+                let ckpt_reads =
+                    scan.stats.checkpoints_unreadable + u64::from(scan.stats.checkpoint_restored);
                 let reads = (self.array.stats().reads - reads_before) + 3 * ckpt_reads;
                 let end = start + self.array.timing().read * reads.max(1);
                 if interrupted(end) {
@@ -2432,13 +2425,12 @@ impl Ssd {
     fn read_media(&mut self, ppa: pfault_flash::Ppa) -> ReadOutcome {
         let retries_before = self.array.stats().read_retries;
         let recovered_before = self.array.stats().retry_recovered_reads;
-        let outcome = self
-            .array
-            .read_with_retries(ppa, self.config.read_retry_limit, &mut self.rng);
+        let outcome =
+            self.array
+                .read_with_retries(ppa, self.config.read_retry_limit, &mut self.rng);
         let rungs = self.array.stats().read_retries - retries_before;
         if rungs > 0 {
-            let recovered =
-                u64::from(self.array.stats().retry_recovered_reads > recovered_before);
+            let recovered = u64::from(self.array.stats().retry_recovered_reads > recovered_before);
             let now = self.now;
             self.probes.emit_with(now, Layer::Flash, || {
                 (
@@ -3309,8 +3301,8 @@ mod tests {
             .find(|s| s.site == crate::sites::FaultSite::MappingReplay)
             .expect("rebuild span recorded");
         assert!(rebuild.end > rebuild.start, "rebuild takes simulated time");
-        let mid = rebuild.start
-            + SimDuration::from_micros((rebuild.end - rebuild.start).as_micros() / 2);
+        let mid =
+            rebuild.start + SimDuration::from_micros((rebuild.end - rebuild.start).as_micros() / 2);
 
         let (mut ssd, _) = prepare(1);
         let err = ssd

@@ -86,11 +86,7 @@ fn campaign_serial_equals_parallel() {
         requests_per_trial: 30,
     };
     let serial = Campaign::builder(config).seed(3).build().run();
-    let parallel = Campaign::builder(config)
-        .seed(3)
-        .threads(4)
-        .build()
-        .run();
+    let parallel = Campaign::builder(config).seed(3).threads(4).build().run();
     assert_eq!(serial.counts, parallel.counts);
     assert_eq!(serial.requests_issued, parallel.requests_issued);
     assert_eq!(
@@ -125,11 +121,7 @@ fn failure_ledger_is_deterministic_between_serial_and_parallel() {
     config.trial.ssd.mount_retry_limit = 1;
 
     let serial = Campaign::builder(config).seed(11).build().run();
-    let parallel = Campaign::builder(config)
-        .seed(11)
-        .threads(4)
-        .build()
-        .run();
+    let parallel = Campaign::builder(config).seed(11).threads(4).build().run();
 
     assert!(
         serial.failures.total_failed() > 0,
