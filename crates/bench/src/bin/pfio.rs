@@ -20,7 +20,6 @@
 use std::env;
 use std::process::ExitCode;
 
-use pfault_obs::Metrics;
 use pfault_sim::storage::{GIB, KIB};
 use pfault_sim::{DetRng, SectorCount, SimDuration};
 use pfault_ssd::device::{HostCommand, Ssd};
@@ -256,7 +255,7 @@ fn main() -> ExitCode {
         );
     }
     if args.obs {
-        let metrics = Metrics::from_records(ssd.probe_records());
+        let metrics = ssd.probe_metrics();
         println!("== probe metrics ==");
         for (key, value) in &metrics.counters {
             println!("{key}: {value}");

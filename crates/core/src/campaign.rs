@@ -559,9 +559,8 @@ impl Campaign {
         let mut attempt: u32 = 0;
         loop {
             let seed = self.attempt_seed(index, attempt);
-            let result = panic::catch_unwind(AssertUnwindSafe(|| match image {
-                Some(image) => platform.run_trial_from_image(image, seed),
-                None => platform.run_trial(seed),
+            let result = panic::catch_unwind(AssertUnwindSafe(|| {
+                platform.run_campaign_trial(image, seed)
             }));
             let error = match result {
                 Ok(Ok(outcome)) => return (Ok(outcome), u64::from(attempt)),
@@ -915,6 +914,35 @@ mod tests {
         let serial = report_bytes(&serial);
         assert_eq!(serial, report_bytes(&on_threads(&campaign, 3)));
         assert_eq!(serial, report_bytes(&on_threads(&campaign, 4)));
+    }
+
+    /// A campaign's obs trials keep no record stream, so their folded
+    /// telemetry is checked against the public trial path, which keeps
+    /// one: the aggregate of `run_trial_from_image` outcomes, each with
+    /// its telemetry re-derived from its records.
+    #[test]
+    fn warm_obs_campaign_aggregates_the_folded_record_streams() {
+        let mut config = tiny_config();
+        config.trial.obs = true;
+        config.trial.warmup_requests = 16;
+        let campaign = Campaign::builder(config).seed(23).build();
+        let platform = TestPlatform::new(campaign.trial_config());
+        let image = platform.warm_image();
+        let mut want = ObsAggregate::default();
+        for index in 0..config.trials {
+            let Ok(mut outcome) = platform.run_trial_from_image(&image, campaign.trial_seed(index))
+            else {
+                continue;
+            };
+            assert!(!outcome.probe_records.is_empty());
+            outcome.telemetry = Some(Metrics::from_records(&outcome.probe_records));
+            want.absorb(&outcome);
+        }
+        assert!(want.trials_observed > 0);
+        for threads in [1, 3] {
+            let report = on_threads(&campaign, threads);
+            assert_eq!(report.obs, want, "{threads} worker(s)");
+        }
     }
 
     #[test]

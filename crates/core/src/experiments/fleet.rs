@@ -29,7 +29,6 @@ use std::fmt::Write as _;
 use serde::{Deserialize, Serialize};
 
 use pfault_fleet::{FleetConfig, FleetSim, FleetTally};
-use pfault_obs::Metrics;
 use pfault_sim::checksum::mix64;
 
 use crate::experiments::ExperimentScale;
@@ -42,13 +41,13 @@ use crate::report::Table;
 pub struct PointAgg {
     /// Merged integer tally across the point's trials.
     pub tally: FleetTally,
-    /// `fleet.outage` probe events, via [`Metrics`].
+    /// `fleet.outage` probe events, via [`Metrics`](pfault_obs::Metrics).
     pub obs_outages: u64,
-    /// `fleet.degraded-read` probe events, via [`Metrics`].
+    /// `fleet.degraded-read` probe events, via [`Metrics`](pfault_obs::Metrics).
     pub obs_degraded: u64,
-    /// `fleet.stripe-lost` probe events, via [`Metrics`].
+    /// `fleet.stripe-lost` probe events, via [`Metrics`](pfault_obs::Metrics).
     pub obs_lost: u64,
-    /// `fleet.rebuild-interrupted` probe events, via [`Metrics`].
+    /// `fleet.rebuild-interrupted` probe events, via [`Metrics`](pfault_obs::Metrics).
     pub obs_interrupted: u64,
 }
 
@@ -181,10 +180,10 @@ fn point_config(psu_group: usize, parity: usize, correlated: bool) -> FleetConfi
 }
 
 /// One trial of one point, with its probe stream folded through the
-/// obs [`Metrics`] pipeline.
+/// obs [`Metrics`](pfault_obs::Metrics) pipeline.
 fn run_trial(config: &FleetConfig, seed: u64) -> PointAgg {
     let r = FleetSim::run(config, seed);
-    let m = Metrics::from_records(&r.probes);
+    let m = &r.metrics;
     PointAgg {
         tally: r.tally,
         obs_outages: m.counter("fleet.outage"),

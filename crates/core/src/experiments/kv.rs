@@ -27,7 +27,7 @@ use std::fmt::Write as _;
 use serde::{Deserialize, Serialize};
 
 use pfault_kv::{run_kv_trial, KvTrialConfig, KvTrialOutcome, KvWorkloadKind};
-use pfault_obs::{Metrics, ProbeEvent};
+use pfault_obs::ProbeEvent;
 use pfault_sim::checksum::mix64;
 use pfault_ssd::VendorPreset;
 
@@ -207,12 +207,12 @@ fn vendor_label(preset: VendorPreset) -> &'static str {
 }
 
 /// One paired trial: both firmware arms at the same seed, the
-/// half-applying arm's probe stream folded through the obs [`Metrics`]
-/// pipeline.
+/// half-applying arm's probe stream folded through the obs
+/// [`Metrics`](pfault_obs::Metrics) pipeline.
 fn run_trial(loose: &KvTrialConfig, strict: &KvTrialConfig, seed: u64) -> KvPointAgg {
     let lo = run_kv_trial(loose, seed);
     let st = run_kv_trial(strict, seed);
-    let metrics = Metrics::from_records(&lo.probes);
+    let metrics = &lo.metrics;
     let mut agg = KvPointAgg {
         trials: 1,
         obs_outcomes: metrics.counter("app.outcome"),

@@ -78,8 +78,9 @@ pub struct TrialConfig {
     /// Runaway-trial protection.
     pub watchdog: Watchdog,
     /// Enable the cross-layer probe bus: the trial outcome then carries
-    /// the full probe stream plus derived counters/histograms. Off by
-    /// default — a disabled bus costs one branch per would-be event.
+    /// counters/histograms folded from the probe stream, and the stream
+    /// itself unless the trial runs inside a campaign. Off by default —
+    /// a disabled bus costs one branch per would-be event.
     pub obs: bool,
     /// Recovery-storm knob: probability that another power cut strikes
     /// while a recovery mount is still running (drawn per mount
@@ -199,7 +200,9 @@ pub struct TrialOutcome {
     /// Counters and log2 latency histograms derived from the probe
     /// stream. `None` unless [`TrialConfig::obs`] was set.
     pub telemetry: Option<Metrics>,
-    /// The raw probe stream (empty unless [`TrialConfig::obs`] was set).
+    /// The raw probe stream (empty unless [`TrialConfig::obs`] was set,
+    /// and always empty for a campaign's trials, which read only
+    /// [`TrialOutcome::telemetry`]).
     pub probe_records: Vec<ProbeRecord>,
 }
 
@@ -246,14 +249,7 @@ impl TestPlatform {
     /// same warm device and the same
     /// [`reseed_for_trial`](Ssd::reseed_for_trial) fork.
     pub fn run_trial(&self, seed: u64) -> Result<TrialOutcome, TrialError> {
-        let ssd = if self.config.warmup_requests == 0 {
-            Ssd::new(self.config.ssd, DetRng::new(seed).fork("ssd"))
-        } else {
-            let mut ssd = self.warm_ssd();
-            ssd.reseed_for_trial(seed);
-            ssd
-        };
-        self.run_trial_on(ssd, seed)
+        self.run_trial_on(self.trial_device(None, seed), seed, true)
     }
 
     /// Runs one complete trial starting from a previously captured warm
@@ -273,14 +269,47 @@ impl TestPlatform {
         image: &pfault_ssd::DeviceImage,
         seed: u64,
     ) -> Result<TrialOutcome, TrialError> {
-        assert_eq!(
-            image.config_digest(),
-            self.config_digest(),
-            "image captured under a different trial configuration"
-        );
-        let mut ssd = image.clone_cow();
-        ssd.reseed_for_trial(seed);
-        self.run_trial_on(ssd, seed)
+        self.run_trial_on(self.trial_device(Some(image), seed), seed, true)
+    }
+
+    /// The campaign's trial: [`TestPlatform::run_trial_from_image`] with
+    /// an image, [`TestPlatform::run_trial`] without, except that an obs
+    /// trial folds its probes into [`TrialOutcome::telemetry`] as they
+    /// fire and keeps no [`TrialOutcome::probe_records`]. A campaign
+    /// reads only the telemetry.
+    pub(crate) fn run_campaign_trial(
+        &self,
+        image: Option<&pfault_ssd::DeviceImage>,
+        seed: u64,
+    ) -> Result<TrialOutcome, TrialError> {
+        self.run_trial_on(self.trial_device(image, seed), seed, false)
+    }
+
+    /// The device a trial starts from, reseeded for `seed`: a
+    /// copy-on-write clone of `image`, or else a cold device or one warmed
+    /// inline. The two warm paths are byte-identical by construction.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the image was captured under a different trial
+    /// configuration.
+    fn trial_device(&self, image: Option<&pfault_ssd::DeviceImage>, seed: u64) -> Ssd {
+        if let Some(image) = image {
+            assert_eq!(
+                image.config_digest(),
+                self.config_digest(),
+                "image captured under a different trial configuration"
+            );
+            let mut ssd = image.clone_cow();
+            ssd.reseed_for_trial(seed);
+            ssd
+        } else if self.config.warmup_requests == 0 {
+            Ssd::new(self.config.ssd, DetRng::new(seed).fork("ssd"))
+        } else {
+            let mut ssd = self.warm_ssd();
+            ssd.reseed_for_trial(seed);
+            ssd
+        }
     }
 
     /// Builds the configuration-derived warm device: the same
@@ -327,12 +356,23 @@ impl TestPlatform {
     }
 
     /// The trial main loop, starting from a pre-built device (cold,
-    /// warmed inline, or cloned from a warm image).
-    fn run_trial_on(&self, mut ssd: Ssd, seed: u64) -> Result<TrialOutcome, TrialError> {
+    /// warmed inline, or cloned from a warm image). With
+    /// [`TrialConfig::obs`] set, `keep_records` says whether the probe
+    /// stream is returned as well as its metrics.
+    fn run_trial_on(
+        &self,
+        mut ssd: Ssd,
+        seed: u64,
+        keep_records: bool,
+    ) -> Result<TrialOutcome, TrialError> {
         let root = DetRng::new(seed);
         let mut sched_rng = root.fork("scheduler");
         if self.config.obs {
-            ssd.enable_probes();
+            if keep_records {
+                ssd.enable_probes();
+            } else {
+                ssd.enable_probe_metrics();
+            }
         }
         let mut generator = WorkloadGenerator::new(self.config.workload, root.fork("workload"));
         let mut oracle = Oracle::new();
@@ -575,11 +615,8 @@ impl TestPlatform {
             .filter(|r| r.acked_at.is_some_and(|t| t <= fault_commanded))
             .count();
         let flash = ssd.flash_stats();
+        let telemetry = self.config.obs.then(|| ssd.probe_metrics());
         let probe_records = ssd.take_probe_records();
-        let telemetry = self
-            .config
-            .obs
-            .then(|| Metrics::from_records(&probe_records));
         Ok(TrialOutcome {
             counts,
             verdicts,
@@ -704,11 +741,8 @@ impl TestPlatform {
         }
         ssd.quiesce();
         let (verdicts, counts) = classify_all(&records, &oracle, &mut ssd);
+        let telemetry = self.config.obs.then(|| ssd.probe_metrics());
         let probe_records = ssd.take_probe_records();
-        let telemetry = self
-            .config
-            .obs
-            .then(|| Metrics::from_records(&probe_records));
         TrialOutcome {
             counts,
             verdicts,

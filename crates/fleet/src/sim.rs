@@ -30,7 +30,7 @@
 //! Everything is a pure function of `(FleetConfig, seed)`: tallies are
 //! integers, so reports are byte-identical across engines and reruns.
 
-use pfault_obs::{Layer, ProbeEvent, ProbeLog, ProbeRecord};
+use pfault_obs::{Layer, Metrics, ProbeEvent, ProbeLog, ProbeRecord};
 use pfault_power::{FaultInjector, PsuGroupCut};
 use pfault_sim::checksum::mix64;
 use pfault_sim::{DetRng, Lba, SectorCount, SimDuration, SimTime};
@@ -293,6 +293,9 @@ pub struct FleetTrialResult {
     pub tally: FleetTally,
     /// Fleet-layer probe records, in emission order.
     pub probes: Vec<ProbeRecord>,
+    /// The metrics folded from [`FleetTrialResult::probes`] as they
+    /// fired.
+    pub metrics: Metrics,
 }
 
 /// Payload tag for generation `gen` of chunk `chunk` of stripe
@@ -381,6 +384,7 @@ impl FleetSim {
         sim.tally.stripes_total = config.stripes;
         FleetTrialResult {
             tally: sim.tally,
+            metrics: sim.log.metrics(),
             probes: sim.log.take_records(),
         }
     }

@@ -23,7 +23,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use serde::{Deserialize, Serialize};
 
-use pfault_obs::{Layer, ProbeEvent, ProbeLog, ProbeRecord};
+use pfault_obs::{Layer, Metrics, ProbeEvent, ProbeLog, ProbeRecord};
 use pfault_power::FaultTimeline;
 use pfault_sim::{Lba, SectorCount, SimTime};
 use pfault_ssd::{CompletionKind, DeviceError, HostCommand, RecoveryReport, Ssd, VerifiedContent};
@@ -255,6 +255,12 @@ impl KvStore {
     /// Drains the store's application-layer probe records.
     pub fn take_probe_records(&mut self) -> Vec<ProbeRecord> {
         self.probes.take_records()
+    }
+
+    /// The metrics folded from the store's application-layer probe
+    /// events as they fired.
+    pub fn probe_metrics(&self) -> Metrics {
+        self.probes.metrics()
     }
 
     /// Emits the trial's final oracle verdict as an `app.outcome` probe.

@@ -10,7 +10,7 @@
 //! masked / silent poison.
 
 use pfault_flash::FlashGeometry;
-use pfault_obs::ProbeRecord;
+use pfault_obs::{Metrics, ProbeRecord};
 use pfault_power::FaultInjector;
 use pfault_sim::{DetRng, SimDuration};
 use pfault_ssd::{CacheConfig, Ssd, SsdConfig, VendorPreset};
@@ -111,6 +111,8 @@ pub struct KvTrialOutcome {
     pub journal_torn: Vec<(u64, u64)>,
     /// Application-layer probe records emitted during the trial.
     pub probes: Vec<ProbeRecord>,
+    /// The metrics folded from [`KvTrialOutcome::probes`] as they fired.
+    pub metrics: Metrics,
 }
 
 /// Runs one trial to completion. Deterministic in `(cfg, seed)`.
@@ -248,6 +250,7 @@ pub fn run_kv_trial(cfg: &KvTrialConfig, seed: u64) -> KvTrialOutcome {
             _ => None,
         })
         .collect();
+    outcome.metrics = store.probe_metrics();
     outcome.probes = store.take_probe_records();
     outcome
 }

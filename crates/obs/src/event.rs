@@ -120,6 +120,28 @@ pub enum RecoveryStepKind {
 }
 
 impl RecoveryStepKind {
+    /// Number of recovery steps: the length of [`RecoveryStepKind::ALL`].
+    pub const COUNT: usize = 15;
+
+    /// Every step, in declaration order, so `ALL[step as usize] == step`.
+    pub const ALL: [RecoveryStepKind; RecoveryStepKind::COUNT] = [
+        RecoveryStepKind::MountAttempt,
+        RecoveryStepKind::MountFailed,
+        RecoveryStepKind::CheckpointRestored,
+        RecoveryStepKind::BatchReplayed,
+        RecoveryStepKind::BatchDiscardedTorn,
+        RecoveryStepKind::ReplayTruncated,
+        RecoveryStepKind::MapRebuilt,
+        RecoveryStepKind::ScanAdopted,
+        RecoveryStepKind::StageStarted,
+        RecoveryStepKind::StageInterrupted,
+        RecoveryStepKind::StageFailed,
+        RecoveryStepKind::Resumed,
+        RecoveryStepKind::VerifyUnreadable,
+        RecoveryStepKind::BlockRetired,
+        RecoveryStepKind::ReadOnlyFallback,
+    ];
+
     /// Stable name used in JSONL output and metric keys.
     pub fn name(self) -> &'static str {
         match self {
@@ -396,6 +418,83 @@ pub enum ProbeEvent {
 }
 
 impl ProbeEvent {
+    /// Number of event kinds: the length of [`ProbeEvent::KINDS`].
+    pub const KIND_COUNT: usize = 31;
+
+    /// Every [`ProbeEvent::kind`] name, in [`ProbeEvent::index`] order.
+    pub const KINDS: [&'static str; ProbeEvent::KIND_COUNT] = [
+        "cache.insert",
+        "cache.evict",
+        "program.start",
+        "program.end",
+        "program.interrupted",
+        "erase.start",
+        "erase.end",
+        "erase.interrupted",
+        "journal.commit",
+        "journal.torn",
+        "checkpoint.begin",
+        "checkpoint.end",
+        "checkpoint.interrupted",
+        "gc.move",
+        "power.cut",
+        "power.volatile-lost",
+        "recovery.step",
+        "ecc.corrected",
+        "ecc.uncorrectable",
+        "flash.read-retry",
+        "host.link-lost",
+        "fleet.outage",
+        "fleet.degraded-read",
+        "fleet.stripe-lost",
+        "fleet.rebuild-interrupted",
+        "app.wal-append",
+        "app.commit",
+        "app.checkpoint",
+        "app.wal-replay",
+        "app.read-only",
+        "app.outcome",
+    ];
+
+    /// Dense kind index in `0..KIND_COUNT`: the slot this event's kind
+    /// occupies in per-kind tables such as the metrics fold, so counting
+    /// an event never touches its name.
+    pub fn index(&self) -> usize {
+        match self {
+            ProbeEvent::CacheInsert { .. } => 0,
+            ProbeEvent::CacheEvict { .. } => 1,
+            ProbeEvent::ProgramStart { .. } => 2,
+            ProbeEvent::ProgramEnd { .. } => 3,
+            ProbeEvent::ProgramInterrupted { .. } => 4,
+            ProbeEvent::EraseStart { .. } => 5,
+            ProbeEvent::EraseEnd { .. } => 6,
+            ProbeEvent::EraseInterrupted { .. } => 7,
+            ProbeEvent::JournalCommit { .. } => 8,
+            ProbeEvent::JournalTorn { .. } => 9,
+            ProbeEvent::CheckpointBegin { .. } => 10,
+            ProbeEvent::CheckpointEnd { .. } => 11,
+            ProbeEvent::CheckpointInterrupted { .. } => 12,
+            ProbeEvent::GcMove { .. } => 13,
+            ProbeEvent::PowerCut { .. } => 14,
+            ProbeEvent::VolatileLost { .. } => 15,
+            ProbeEvent::RecoveryStep { .. } => 16,
+            ProbeEvent::EccCorrected { .. } => 17,
+            ProbeEvent::EccUncorrectable { .. } => 18,
+            ProbeEvent::ReadRetry { .. } => 19,
+            ProbeEvent::HostLinkLost { .. } => 20,
+            ProbeEvent::FleetOutage { .. } => 21,
+            ProbeEvent::FleetDegradedRead { .. } => 22,
+            ProbeEvent::FleetStripeLost { .. } => 23,
+            ProbeEvent::FleetRebuildInterrupted { .. } => 24,
+            ProbeEvent::AppWalAppend { .. } => 25,
+            ProbeEvent::AppCommit { .. } => 26,
+            ProbeEvent::AppCheckpoint { .. } => 27,
+            ProbeEvent::AppWalReplay { .. } => 28,
+            ProbeEvent::AppReadOnly { .. } => 29,
+            ProbeEvent::AppOutcome { .. } => 30,
+        }
+    }
+
     /// Stable dotted event name: used as the JSONL `event` field and as
     /// the per-event counter key in [`crate::Metrics`].
     pub fn kind(&self) -> &'static str {
@@ -435,108 +534,128 @@ impl ProbeEvent {
     }
 }
 
+/// One event of every [`ProbeEvent`] variant, in [`ProbeEvent::index`]
+/// order, with every integer field set to `v` (recovery steps as
+/// [`RecoveryStepKind::MountAttempt`]).
+#[cfg(test)]
+pub(crate) fn one_of_each(v: u64) -> Vec<ProbeEvent> {
+    vec![
+        ProbeEvent::CacheInsert { lba: v, dirty: v },
+        ProbeEvent::CacheEvict { lba: v, dirty: v },
+        ProbeEvent::ProgramStart {
+            kind: ProgramKind::Direct,
+            block: v,
+            page: v,
+        },
+        ProbeEvent::ProgramEnd {
+            kind: ProgramKind::Direct,
+            block: v,
+            page: v,
+            us: v,
+        },
+        ProbeEvent::ProgramInterrupted {
+            kind: ProgramKind::Direct,
+            block: v,
+            page: v,
+            progress_permille: v,
+        },
+        ProbeEvent::EraseStart { block: v },
+        ProbeEvent::EraseEnd { block: v, us: v },
+        ProbeEvent::EraseInterrupted { block: v },
+        ProbeEvent::JournalCommit {
+            entries: v,
+            coverage: v,
+            us: v,
+        },
+        ProbeEvent::JournalTorn { kept: v, full: v },
+        ProbeEvent::CheckpointBegin { id: v, entries: v },
+        ProbeEvent::CheckpointEnd { id: v, us: v },
+        ProbeEvent::CheckpointInterrupted { id: v },
+        ProbeEvent::GcMove {
+            lba: v,
+            from_block: v,
+            to_block: v,
+        },
+        ProbeEvent::PowerCut {
+            commanded_us: v,
+            host_lost_us: v,
+            flash_unreliable_us: v,
+            core_dead_us: v,
+        },
+        ProbeEvent::VolatileLost { dirty: v, map: v },
+        ProbeEvent::RecoveryStep {
+            step: RecoveryStepKind::MountAttempt,
+            value: v,
+        },
+        ProbeEvent::EccCorrected {
+            block: v,
+            page: v,
+            bits: v,
+        },
+        ProbeEvent::EccUncorrectable { block: v, page: v },
+        ProbeEvent::ReadRetry {
+            block: v,
+            page: v,
+            rungs: v,
+            recovered: v,
+        },
+        ProbeEvent::HostLinkLost { inflight: v },
+        ProbeEvent::FleetOutage {
+            devices: v,
+            correlated: v,
+        },
+        ProbeEvent::FleetDegradedRead {
+            stripe: v,
+            missing: v,
+        },
+        ProbeEvent::FleetStripeLost {
+            stripe: v,
+            unrecoverable: v,
+        },
+        ProbeEvent::FleetRebuildInterrupted { pending_stripes: v },
+        ProbeEvent::AppWalAppend { slot: v, seq: v },
+        ProbeEvent::AppCommit { ops: v, us: v },
+        ProbeEvent::AppCheckpoint {
+            generation: v,
+            entries: v,
+        },
+        ProbeEvent::AppWalReplay {
+            replayed: v,
+            discarded: v,
+            stale: v,
+        },
+        ProbeEvent::AppReadOnly { retries: v },
+        ProbeEvent::AppOutcome {
+            surfaced: v,
+            masked: v,
+            silent_poison: v,
+        },
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn kinds_are_unique() {
-        let events = [
-            ProbeEvent::CacheInsert { lba: 0, dirty: 0 },
-            ProbeEvent::CacheEvict { lba: 0, dirty: 0 },
-            ProbeEvent::ProgramStart {
-                kind: ProgramKind::Direct,
-                block: 0,
-                page: 0,
-            },
-            ProbeEvent::ProgramEnd {
-                kind: ProgramKind::Direct,
-                block: 0,
-                page: 0,
-                us: 0,
-            },
-            ProbeEvent::ProgramInterrupted {
-                kind: ProgramKind::Direct,
-                block: 0,
-                page: 0,
-                progress_permille: 0,
-            },
-            ProbeEvent::EraseStart { block: 0 },
-            ProbeEvent::EraseEnd { block: 0, us: 0 },
-            ProbeEvent::EraseInterrupted { block: 0 },
-            ProbeEvent::JournalCommit {
-                entries: 0,
-                coverage: 0,
-                us: 0,
-            },
-            ProbeEvent::JournalTorn { kept: 0, full: 0 },
-            ProbeEvent::CheckpointBegin { id: 0, entries: 0 },
-            ProbeEvent::CheckpointEnd { id: 0, us: 0 },
-            ProbeEvent::CheckpointInterrupted { id: 0 },
-            ProbeEvent::GcMove {
-                lba: 0,
-                from_block: 0,
-                to_block: 0,
-            },
-            ProbeEvent::PowerCut {
-                commanded_us: 0,
-                host_lost_us: 0,
-                flash_unreliable_us: 0,
-                core_dead_us: 0,
-            },
-            ProbeEvent::VolatileLost { dirty: 0, map: 0 },
-            ProbeEvent::RecoveryStep {
-                step: RecoveryStepKind::MountAttempt,
-                value: 0,
-            },
-            ProbeEvent::EccCorrected {
-                block: 0,
-                page: 0,
-                bits: 0,
-            },
-            ProbeEvent::EccUncorrectable { block: 0, page: 0 },
-            ProbeEvent::ReadRetry {
-                block: 0,
-                page: 0,
-                rungs: 0,
-                recovered: 0,
-            },
-            ProbeEvent::HostLinkLost { inflight: 0 },
-            ProbeEvent::FleetOutage {
-                devices: 0,
-                correlated: 0,
-            },
-            ProbeEvent::FleetDegradedRead {
-                stripe: 0,
-                missing: 0,
-            },
-            ProbeEvent::FleetStripeLost {
-                stripe: 0,
-                unrecoverable: 0,
-            },
-            ProbeEvent::FleetRebuildInterrupted { pending_stripes: 0 },
-            ProbeEvent::AppWalAppend { slot: 0, seq: 0 },
-            ProbeEvent::AppCommit { ops: 0, us: 0 },
-            ProbeEvent::AppCheckpoint {
-                generation: 0,
-                entries: 0,
-            },
-            ProbeEvent::AppWalReplay {
-                replayed: 0,
-                discarded: 0,
-                stale: 0,
-            },
-            ProbeEvent::AppReadOnly { retries: 0 },
-            ProbeEvent::AppOutcome {
-                surfaced: 0,
-                masked: 0,
-                silent_poison: 0,
-            },
-        ];
+        let events = one_of_each(0);
+        assert_eq!(events.len(), ProbeEvent::KIND_COUNT);
+        for (i, e) in events.iter().enumerate() {
+            assert_eq!(e.index(), i, "{} is out of index order", e.kind());
+            assert_eq!(ProbeEvent::KINDS[e.index()], e.kind());
+        }
         let mut kinds: Vec<&str> = events.iter().map(|e| e.kind()).collect();
         kinds.sort_unstable();
         kinds.dedup();
         assert_eq!(kinds.len(), events.len());
+    }
+
+    #[test]
+    fn recovery_steps_are_listed_in_declaration_order() {
+        for (i, step) in RecoveryStepKind::ALL.iter().enumerate() {
+            assert_eq!(*step as usize, i, "{} is out of order", step.name());
+        }
     }
 
     #[test]

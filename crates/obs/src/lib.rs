@@ -11,7 +11,11 @@
 //! Three consumers sit on top of the raw records:
 //!
 //! * [`Metrics`] — per-trial counters plus fixed log2-bucket latency
-//!   histograms ([`Log2Histogram`]). Everything is integer-valued and
+//!   histograms ([`Log2Histogram`]). An enabled [`ProbeLog`] folds each
+//!   event into them as it fires ([`ProbeLog::metrics`]), so a caller
+//!   that reads only the metrics can keep no records at all
+//!   ([`ProbeLog::enable_metrics_only`]); [`Metrics::from_records`] runs
+//!   the same fold over a slice. Everything is integer-valued and
 //!   derived only from simulated time, so same-seed reruns produce
 //!   byte-identical metrics.
 //! * [`jsonl`] — a blkparse-style JSON-lines export (one record per
@@ -21,10 +25,11 @@
 //!   roll-ups merged into `CampaignReport`.
 //!
 //! Recording is **off by default and free when off**: every emit path
-//! checks a single `bool` and returns before constructing the event
-//! (use [`ProbeLog::emit_with`] on hot paths so argument evaluation is
-//! skipped too). The `obs_overhead` benchmark in `pfault-bench` holds
-//! the disabled path to within noise of the pre-probe baseline.
+//! checks whether the log is on and returns before constructing the
+//! event (use [`ProbeLog::emit_with`] on hot paths so argument
+//! evaluation is skipped too). The benchmark's `pflayers` binary
+//! reports what an enabled bus costs a trial as
+//! `obs.probe_overhead_pct`.
 
 pub mod event;
 pub mod jsonl;

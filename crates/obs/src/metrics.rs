@@ -167,39 +167,142 @@ impl Metrics {
     /// that matter to failure attribution (sectors lost, ECC bits,
     /// recovery step values), and latency histograms for programs,
     /// erases, journal commits, and checkpoints.
+    ///
+    /// This is the fold an enabled [`crate::ProbeLog`] runs as each
+    /// event fires, run here over a slice: both give the same registry.
     pub fn from_records(records: &[ProbeRecord]) -> Metrics {
-        let mut m = Metrics::new();
+        let mut fold = MetricsFold::default();
         for r in records {
-            m.incr(r.event.kind(), 1);
-            match r.event {
-                ProbeEvent::ProgramEnd { us, .. } => m.observe("program.us", us),
-                ProbeEvent::EraseEnd { us, .. } => m.observe("erase.us", us),
-                ProbeEvent::JournalCommit { entries, us, .. } => {
-                    m.incr("journal.entries", entries);
-                    m.observe("journal.commit.us", us);
-                }
-                ProbeEvent::JournalTorn { kept, full } => {
-                    m.incr("journal.torn.kept-sectors", kept);
-                    m.incr("journal.torn.lost-sectors", full.saturating_sub(kept));
-                }
-                ProbeEvent::CheckpointEnd { us, .. } => m.observe("checkpoint.us", us),
-                ProbeEvent::CacheEvict { dirty, .. } => m.observe("cache.dirty-at-evict", dirty),
-                ProbeEvent::VolatileLost { dirty, map } => {
-                    m.incr("power.dirty-sectors-lost", dirty);
-                    m.incr("power.map-sectors-lost", map);
-                }
-                ProbeEvent::EccCorrected { bits, .. } => m.incr("ecc.corrected-bits", bits),
-                ProbeEvent::FleetOutage { devices, .. } => {
-                    m.incr("fleet.devices-cut", devices);
-                }
-                ProbeEvent::FleetDegradedRead { missing, .. } => {
-                    m.incr("fleet.chunks-reconstructed", missing);
-                }
-                ProbeEvent::FleetStripeLost { unrecoverable, .. } => {
-                    m.incr("fleet.chunks-unrecoverable", unrecoverable);
-                }
-                ProbeEvent::RecoveryStep { step, value } => match step {
-                    RecoveryStepKind::MountAttempt | RecoveryStepKind::MountFailed => {}
+            fold.add(&r.event);
+        }
+        fold.to_metrics()
+    }
+}
+
+/// The magnitude counters the fold keeps, one slot each.
+#[derive(Clone, Copy)]
+enum Sum {
+    JournalEntries,
+    TornKept,
+    TornLost,
+    DirtyLost,
+    MapLost,
+    EccBits,
+    DevicesCut,
+    ChunksReconstructed,
+    ChunksUnrecoverable,
+}
+
+impl Sum {
+    const COUNT: usize = 9;
+    /// Counter keys, in slot order.
+    const NAMES: [&'static str; Sum::COUNT] = [
+        "journal.entries",
+        "journal.torn.kept-sectors",
+        "journal.torn.lost-sectors",
+        "power.dirty-sectors-lost",
+        "power.map-sectors-lost",
+        "ecc.corrected-bits",
+        "fleet.devices-cut",
+        "fleet.chunks-reconstructed",
+        "fleet.chunks-unrecoverable",
+    ];
+}
+
+/// The histograms the fold keeps, one slot each.
+#[derive(Clone, Copy)]
+enum Hist {
+    ProgramUs,
+    EraseUs,
+    JournalCommitUs,
+    CheckpointUs,
+    DirtyAtEvict,
+}
+
+impl Hist {
+    const COUNT: usize = 5;
+    /// Histogram keys, in slot order.
+    const NAMES: [&'static str; Hist::COUNT] = [
+        "program.us",
+        "erase.us",
+        "journal.commit.us",
+        "checkpoint.us",
+        "cache.dirty-at-evict",
+    ];
+}
+
+/// The per-trial metrics as a fixed table indexed by event kind,
+/// recovery step and slot: folding an event costs a few array updates
+/// and builds no key. [`MetricsFold::to_metrics`] names the table once.
+///
+/// A key exists in the registry iff something added to it, even a zero
+/// (a `journal.commit` with no entries still creates
+/// `journal.entries`), hence the `Option` slots.
+#[derive(Debug, Clone)]
+pub(crate) struct MetricsFold {
+    kinds: [u64; ProbeEvent::KIND_COUNT],
+    sums: [Option<u64>; Sum::COUNT],
+    recovery: [Option<u64>; RecoveryStepKind::COUNT],
+    histograms: [[u64; LOG2_BUCKETS]; Hist::COUNT],
+}
+
+impl Default for MetricsFold {
+    fn default() -> Self {
+        MetricsFold {
+            kinds: [0; ProbeEvent::KIND_COUNT],
+            sums: [None; Sum::COUNT],
+            recovery: [None; RecoveryStepKind::COUNT],
+            histograms: [[0; LOG2_BUCKETS]; Hist::COUNT],
+        }
+    }
+}
+
+impl MetricsFold {
+    fn incr(&mut self, sum: Sum, by: u64) {
+        *self.sums[sum as usize].get_or_insert(0) += by;
+    }
+
+    fn observe(&mut self, hist: Hist, value: u64) {
+        self.histograms[hist as usize][Log2Histogram::bucket_index(value)] += 1;
+    }
+
+    /// Events of the kind at `index` folded so far.
+    pub(crate) fn kind_count(&self, index: usize) -> u64 {
+        self.kinds[index]
+    }
+
+    /// Folds one event into the table.
+    #[inline]
+    pub(crate) fn add(&mut self, event: &ProbeEvent) {
+        self.kinds[event.index()] += 1;
+        match *event {
+            ProbeEvent::ProgramEnd { us, .. } => self.observe(Hist::ProgramUs, us),
+            ProbeEvent::EraseEnd { us, .. } => self.observe(Hist::EraseUs, us),
+            ProbeEvent::JournalCommit { entries, us, .. } => {
+                self.incr(Sum::JournalEntries, entries);
+                self.observe(Hist::JournalCommitUs, us);
+            }
+            ProbeEvent::JournalTorn { kept, full } => {
+                self.incr(Sum::TornKept, kept);
+                self.incr(Sum::TornLost, full.saturating_sub(kept));
+            }
+            ProbeEvent::CheckpointEnd { us, .. } => self.observe(Hist::CheckpointUs, us),
+            ProbeEvent::CacheEvict { dirty, .. } => self.observe(Hist::DirtyAtEvict, dirty),
+            ProbeEvent::VolatileLost { dirty, map } => {
+                self.incr(Sum::DirtyLost, dirty);
+                self.incr(Sum::MapLost, map);
+            }
+            ProbeEvent::EccCorrected { bits, .. } => self.incr(Sum::EccBits, bits),
+            ProbeEvent::FleetOutage { devices, .. } => self.incr(Sum::DevicesCut, devices),
+            ProbeEvent::FleetDegradedRead { missing, .. } => {
+                self.incr(Sum::ChunksReconstructed, missing);
+            }
+            ProbeEvent::FleetStripeLost { unrecoverable, .. } => {
+                self.incr(Sum::ChunksUnrecoverable, unrecoverable);
+            }
+            ProbeEvent::RecoveryStep { step, value } => {
+                let by = match step {
+                    RecoveryStepKind::MountAttempt | RecoveryStepKind::MountFailed => return,
                     // Steps whose payload is an identifier (stage index,
                     // block id), not a magnitude: count occurrences.
                     RecoveryStepKind::StageStarted
@@ -207,12 +310,41 @@ impl Metrics {
                     | RecoveryStepKind::StageFailed
                     | RecoveryStepKind::Resumed
                     | RecoveryStepKind::BlockRetired
-                    | RecoveryStepKind::ReadOnlyFallback => {
-                        m.incr(&format!("recovery.{}", step.name()), 1);
-                    }
-                    _ => m.incr(&format!("recovery.{}", step.name()), value),
-                },
-                _ => {}
+                    | RecoveryStepKind::ReadOnlyFallback => 1,
+                    _ => value,
+                };
+                *self.recovery[step as usize].get_or_insert(0) += by;
+            }
+            _ => {}
+        }
+    }
+
+    /// The folded table as a named registry.
+    pub(crate) fn to_metrics(&self) -> Metrics {
+        let mut m = Metrics::new();
+        for (name, &n) in ProbeEvent::KINDS.iter().zip(&self.kinds) {
+            if n > 0 {
+                m.counters.insert(name.to_string(), n);
+            }
+        }
+        for (name, sum) in Sum::NAMES.iter().zip(&self.sums) {
+            if let Some(n) = *sum {
+                m.counters.insert(name.to_string(), n);
+            }
+        }
+        for (step, sum) in RecoveryStepKind::ALL.iter().zip(&self.recovery) {
+            if let Some(n) = *sum {
+                m.counters.insert(format!("recovery.{}", step.name()), n);
+            }
+        }
+        for (name, buckets) in Hist::NAMES.iter().zip(&self.histograms) {
+            if buckets.iter().any(|&n| n > 0) {
+                m.histograms.insert(
+                    name.to_string(),
+                    Log2Histogram {
+                        buckets: buckets.to_vec(),
+                    },
+                );
             }
         }
         m
@@ -222,7 +354,7 @@ impl Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Layer;
+    use crate::event::{one_of_each, Layer};
     use crate::probe::ProbeLog;
     use pfault_sim::SimTime;
 
@@ -316,6 +448,124 @@ mod tests {
         assert_eq!(m.counter("power.map-sectors-lost"), 3);
         assert_eq!(m.counter("ecc.corrected-bits"), 5);
         assert_eq!(m.histogram("journal.commit.us").map(|h| h.count()), Some(1));
+    }
+
+    /// The String-keyed registry derivation the fold replaced, kept as
+    /// the reference the fold must match key for key.
+    fn string_keyed_from_records(records: &[ProbeRecord]) -> Metrics {
+        let mut m = Metrics::new();
+        for r in records {
+            m.incr(r.event.kind(), 1);
+            match r.event {
+                ProbeEvent::ProgramEnd { us, .. } => m.observe("program.us", us),
+                ProbeEvent::EraseEnd { us, .. } => m.observe("erase.us", us),
+                ProbeEvent::JournalCommit { entries, us, .. } => {
+                    m.incr("journal.entries", entries);
+                    m.observe("journal.commit.us", us);
+                }
+                ProbeEvent::JournalTorn { kept, full } => {
+                    m.incr("journal.torn.kept-sectors", kept);
+                    m.incr("journal.torn.lost-sectors", full.saturating_sub(kept));
+                }
+                ProbeEvent::CheckpointEnd { us, .. } => m.observe("checkpoint.us", us),
+                ProbeEvent::CacheEvict { dirty, .. } => m.observe("cache.dirty-at-evict", dirty),
+                ProbeEvent::VolatileLost { dirty, map } => {
+                    m.incr("power.dirty-sectors-lost", dirty);
+                    m.incr("power.map-sectors-lost", map);
+                }
+                ProbeEvent::EccCorrected { bits, .. } => m.incr("ecc.corrected-bits", bits),
+                ProbeEvent::FleetOutage { devices, .. } => {
+                    m.incr("fleet.devices-cut", devices);
+                }
+                ProbeEvent::FleetDegradedRead { missing, .. } => {
+                    m.incr("fleet.chunks-reconstructed", missing);
+                }
+                ProbeEvent::FleetStripeLost { unrecoverable, .. } => {
+                    m.incr("fleet.chunks-unrecoverable", unrecoverable);
+                }
+                ProbeEvent::RecoveryStep { step, value } => match step {
+                    RecoveryStepKind::MountAttempt | RecoveryStepKind::MountFailed => {}
+                    RecoveryStepKind::StageStarted
+                    | RecoveryStepKind::StageInterrupted
+                    | RecoveryStepKind::StageFailed
+                    | RecoveryStepKind::Resumed
+                    | RecoveryStepKind::BlockRetired
+                    | RecoveryStepKind::ReadOnlyFallback => {
+                        m.incr(&format!("recovery.{}", step.name()), 1);
+                    }
+                    _ => m.incr(&format!("recovery.{}", step.name()), value),
+                },
+                _ => {}
+            }
+        }
+        m
+    }
+
+    /// Emits `events` into an enabled log, one microsecond apart.
+    fn logged(events: &[ProbeEvent]) -> ProbeLog {
+        let mut log = ProbeLog::enabled();
+        for (i, &e) in events.iter().enumerate() {
+            log.emit(SimTime::from_micros(i as u64), Layer::Host, e);
+        }
+        log
+    }
+
+    #[test]
+    fn fold_matches_the_string_keyed_derivation_on_every_event() {
+        let steps = |v: u64| {
+            RecoveryStepKind::ALL
+                .iter()
+                .map(move |&step| ProbeEvent::RecoveryStep { step, value: v })
+        };
+        // Every variant and every recovery step, at zero magnitude (the
+        // keys must still appear), at a small one, and at a large one;
+        // plus a torn batch that kept more than a whole batch.
+        let mut events = Vec::new();
+        for v in [0, 3, 1 << 40] {
+            events.extend(one_of_each(v));
+            events.extend(steps(v));
+        }
+        events.push(ProbeEvent::JournalTorn { kept: 9, full: 4 });
+        let log = logged(&events);
+        let want = string_keyed_from_records(log.records());
+        assert_eq!(Metrics::from_records(log.records()), want);
+        assert_eq!(log.metrics(), want, "the emit-time fold diverged");
+
+        // Zero magnitudes alone still create their keys.
+        let zeros = logged(&[
+            ProbeEvent::JournalCommit {
+                entries: 0,
+                coverage: 0,
+                us: 0,
+            },
+            ProbeEvent::VolatileLost { dirty: 0, map: 0 },
+            ProbeEvent::RecoveryStep {
+                step: RecoveryStepKind::BatchReplayed,
+                value: 0,
+            },
+        ]);
+        let m = zeros.metrics();
+        assert_eq!(m, string_keyed_from_records(zeros.records()));
+        for key in [
+            "journal.entries",
+            "power.dirty-sectors-lost",
+            "power.map-sectors-lost",
+            "recovery.batch-replayed",
+        ] {
+            assert_eq!(m.counters.get(key), Some(&0), "{key} must exist at 0");
+        }
+        assert_eq!(m.histogram("journal.commit.us").map(|h| h.count()), Some(1));
+
+        // Each event alone, so no key can hide behind another's.
+        for e in events {
+            let one = logged(&[e]);
+            assert_eq!(
+                one.metrics(),
+                string_keyed_from_records(one.records()),
+                "{e:?}"
+            );
+        }
+        assert!(Metrics::from_records(&[]).is_empty());
     }
 
     #[test]

@@ -1,14 +1,16 @@
-//! The probe bus: an append-only, zero-cost-when-disabled event log.
+//! The probe bus: an append-only, zero-cost-when-disabled event log
+//! that folds each event into the trial's [`Metrics`] as it fires.
 //!
 //! Mirrors the proven `SiteLog` pattern from `pfault-ssd`: a single
-//! `enabled` flag guards every emit, so a disabled log costs one branch
-//! and no allocation. Hot paths should use [`ProbeLog::emit_with`] so
+//! check guards every emit, so a disabled log costs one branch and no
+//! allocation. Hot paths should use [`ProbeLog::emit_with`] so
 //! the event payload itself is never built while disabled.
 
 use pfault_sim::SimTime;
 use serde::{Deserialize, Serialize};
 
 use crate::event::{Layer, ProbeEvent};
+use crate::metrics::{Metrics, MetricsFold};
 
 /// One emitted probe event with its full provenance tags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -29,9 +31,16 @@ pub struct ProbeRecord {
 }
 
 /// Append-only probe sink. Disabled (and free) by default.
+///
+/// An enabled log folds every event into its metrics table as it fires
+/// ([`ProbeLog::metrics`]) and, unless it was enabled for metrics only,
+/// also keeps the event as a [`ProbeRecord`].
 #[derive(Debug, Clone, Default)]
 pub struct ProbeLog {
-    enabled: bool,
+    /// The metrics table; `None` while disabled.
+    fold: Option<Box<MetricsFold>>,
+    /// Whether emitted events are also stored as records.
+    keep_records: bool,
     records: Vec<ProbeRecord>,
 }
 
@@ -43,27 +52,35 @@ impl ProbeLog {
 
     /// Creates a log that records from the first event.
     pub fn enabled() -> Self {
-        ProbeLog {
-            enabled: true,
-            records: Vec::new(),
-        }
+        let mut log = ProbeLog::new();
+        log.enable();
+        log
     }
 
-    /// Starts recording.
+    /// Starts recording: events fold into the metrics and are kept as
+    /// records.
     pub fn enable(&mut self) {
-        self.enabled = true;
+        self.fold.get_or_insert_with(Box::default);
+        self.keep_records = true;
     }
 
-    /// Whether events are being recorded.
+    /// Starts folding events into the metrics without keeping records:
+    /// for callers that read only [`ProbeLog::metrics`].
+    pub fn enable_metrics_only(&mut self) {
+        self.fold.get_or_insert_with(Box::default);
+        self.keep_records = false;
+    }
+
+    /// Whether events are being folded (and perhaps kept as records).
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.fold.is_some()
     }
 
     /// Emits an untagged event (no request/span attribution).
     #[inline]
     pub fn emit(&mut self, time: SimTime, layer: Layer, event: ProbeEvent) {
-        if !self.enabled {
+        if !self.is_enabled() {
             return;
         }
         self.push(time, layer, None, None, event);
@@ -79,7 +96,7 @@ impl ProbeLog {
         span: Option<u64>,
         event: ProbeEvent,
     ) {
-        if !self.enabled {
+        if !self.is_enabled() {
             return;
         }
         self.push(time, layer, request, span, event);
@@ -93,7 +110,7 @@ impl ProbeLog {
     where
         F: FnOnce() -> (Option<u64>, Option<u64>, ProbeEvent),
     {
-        if !self.enabled {
+        if !self.is_enabled() {
             return;
         }
         let (request, span, event) = build();
@@ -108,18 +125,24 @@ impl ProbeLog {
         span: Option<u64>,
         event: ProbeEvent,
     ) {
-        let seq = self.records.len() as u64;
-        self.records.push(ProbeRecord {
-            seq,
-            time_us: time.as_micros(),
-            layer,
-            request,
-            span,
-            event,
-        });
+        let Some(fold) = self.fold.as_deref_mut() else {
+            return;
+        };
+        fold.add(&event);
+        if self.keep_records {
+            let seq = self.records.len() as u64;
+            self.records.push(ProbeRecord {
+                seq,
+                time_us: time.as_micros(),
+                layer,
+                request,
+                span,
+                event,
+            });
+        }
     }
 
-    /// All records emitted so far, in emission order.
+    /// All records kept so far, in emission order.
     pub fn records(&self) -> &[ProbeRecord] {
         &self.records
     }
@@ -129,22 +152,35 @@ impl ProbeLog {
         std::mem::take(&mut self.records)
     }
 
-    /// Number of records emitted.
+    /// Number of records kept.
     pub fn len(&self) -> usize {
         self.records.len()
     }
 
-    /// Whether nothing has been emitted.
+    /// Whether no record is kept.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
     }
 
-    /// Count of records whose event kind equals `kind` (dotted name).
+    /// The metrics folded from every event emitted so far: equal to
+    /// [`Metrics::from_records`] over the same events (empty while
+    /// disabled).
+    pub fn metrics(&self) -> Metrics {
+        self.fold
+            .as_deref()
+            .map_or_else(Metrics::new, MetricsFold::to_metrics)
+    }
+
+    /// Count of events emitted so far whose kind equals `kind` (dotted
+    /// name), whether or not they were kept as records.
     pub fn count_kind(&self, kind: &str) -> u64 {
-        self.records
+        let Some(fold) = self.fold.as_deref() else {
+            return 0;
+        };
+        ProbeEvent::KINDS
             .iter()
-            .filter(|r| r.event.kind() == kind)
-            .count() as u64
+            .position(|k| *k == kind)
+            .map_or(0, |i| fold.kind_count(i))
     }
 }
 
@@ -206,5 +242,31 @@ mod tests {
         assert_eq!(r.span, Some(2));
         assert_eq!(r.time_us, 9);
         assert_eq!(r.layer, Layer::Ftl);
+    }
+
+    #[test]
+    fn metrics_only_log_folds_without_keeping_records() {
+        let mut kept = ProbeLog::enabled();
+        let mut folded = ProbeLog::new();
+        folded.enable_metrics_only();
+        for log in [&mut kept, &mut folded] {
+            for i in 0..3u64 {
+                log.emit(
+                    SimTime::from_micros(i),
+                    Layer::Flash,
+                    ProbeEvent::EraseEnd {
+                        block: i,
+                        us: 100 * i,
+                    },
+                );
+            }
+        }
+        assert!(folded.is_enabled());
+        assert!(folded.is_empty(), "a metrics-only log keeps no record");
+        assert_eq!(folded.count_kind("erase.end"), 3);
+        assert_eq!(kept.len(), 3);
+        assert_eq!(folded.metrics(), kept.metrics());
+        assert_eq!(kept.metrics(), Metrics::from_records(kept.records()));
+        assert!(ProbeLog::new().metrics().is_empty());
     }
 }

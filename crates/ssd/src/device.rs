@@ -17,7 +17,9 @@ use pfault_ftl::{
     CheckpointOp, CheckpointStore, CommitOp, DurableLog, Ftl, GcPlan, JournalScanOutcome,
     RecoveryStats, WriteSlot,
 };
-use pfault_obs::{Layer, ProbeEvent, ProbeLog, ProbeRecord, ProgramKind, RecoveryStepKind};
+use pfault_obs::{
+    Layer, Metrics, ProbeEvent, ProbeLog, ProbeRecord, ProgramKind, RecoveryStepKind,
+};
 use pfault_power::FaultTimeline;
 use pfault_sim::checksum::mix64;
 use pfault_sim::{DetRng, Lba, SectorCount, SimDuration, SimTime};
@@ -541,6 +543,19 @@ impl Ssd {
     /// branch per site and allocates nothing.
     pub fn enable_probes(&mut self) {
         self.probes.enable();
+    }
+
+    /// Turns on the probe bus for metrics only: every event folds into
+    /// [`Ssd::probe_metrics`] as it fires and no record is kept, so
+    /// [`Ssd::probe_records`] stays empty.
+    pub fn enable_probe_metrics(&mut self) {
+        self.probes.enable_metrics_only();
+    }
+
+    /// The metrics folded from every probe event emitted so far (empty
+    /// unless the probe bus is on).
+    pub fn probe_metrics(&self) -> Metrics {
+        self.probes.metrics()
     }
 
     /// The probe records emitted so far (empty unless

@@ -51,10 +51,25 @@ fn same_seed_trials_derive_identical_histograms() {
         assert_eq!(ha.buckets(), hb.buckets(), "histogram {key} diverged");
         assert!(ha.count() > 0, "histogram {key} is empty");
     }
-    // The derived metrics must agree with a fresh derivation from the
-    // raw records: no hidden state outside the record stream.
-    let rederived = Metrics::from_records(&a.probe_records);
-    assert_eq!(ma.counters, rederived.counters);
+    // The metrics folded as the probes fired must equal a fresh
+    // derivation from the raw records: no hidden state outside the
+    // record stream.
+    assert_eq!(ma, Metrics::from_records(&a.probe_records));
+}
+
+#[test]
+fn warm_image_trial_telemetry_equals_its_records_folded() {
+    let platform = TestPlatform::new(obs_trial(40).with_warmup_requests(32));
+    let image = platform.warm_image();
+    let outcome = platform
+        .run_trial_from_image(&image, 94)
+        .expect("trial runs");
+    assert!(
+        !outcome.probe_records.is_empty(),
+        "obs trial kept no records"
+    );
+    let telemetry = outcome.telemetry.expect("obs trial carries telemetry");
+    assert_eq!(telemetry, Metrics::from_records(&outcome.probe_records));
 }
 
 #[test]
