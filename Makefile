@@ -41,7 +41,8 @@
 #                  matches the fixed baseline's confidence bands at
 #                  ≥10x fewer trials, two worker counts reduce byte-equally,
 #                  and planned pause/resume is byte-identical; cmp
-#                  enforces deterministic same-seed reports
+#                  enforces deterministic same-seed reports, and equal
+#                  reports on --threads 1 and --threads 2
 #   make trace-smoke — block-layer tool gate (<5 s): blkdump's trace
 #                  must survive its own blkparse-text and JSONL
 #                  round-trips, and two same-seed runs each of
@@ -167,6 +168,9 @@ plan-smoke: build
 	./target/release/repro --exp plan --json target/plan-a.json
 	./target/release/repro --exp plan --json target/plan-b.json
 	cmp target/plan-a.json target/plan-b.json
+	./target/release/repro --exp plan --seed 7 --threads 1 --json target/plan-t1.json
+	./target/release/repro --exp plan --seed 7 --threads 2 --json target/plan-t2.json
+	cmp target/plan-t1.json target/plan-t2.json
 
 # Trials keep no block trace, so the two CLI tools are the only users of
 # pfault-trace's tracer and btt pass in the workspace. blkdump exits

@@ -44,7 +44,7 @@
 //!
 //! `--exp campaign` runs one raw fault-injection campaign with the
 //! resilience controls: per-trial watchdog budgets, deterministic
-//! retries, checkpoint/resume (one worker only), and warm-snapshot
+//! retries, checkpoint/resume (at any worker count), and warm-snapshot
 //! cloning (`--warmup`, `--snapshot-cache`). Campaigns are sized by a [`PlanSpec`]:
 //! `--trials N` is shorthand for `--plan fixed:N`, and
 //! `--plan ci:EPS[:CONF]` runs adaptively until the Wilson interval on
@@ -202,7 +202,7 @@ fn main() -> ExitCode {
                      1 for campaign); same report at any count\n\
                      campaign mode (--exp campaign, not part of 'all') runs one raw \
                      campaign with watchdog budgets,\n\
-                     deterministic retries, checkpoint/resume (one worker), and \
+                     deterministic retries, checkpoint/resume (any worker count), and \
                      --warmup snapshot cloning;\n\
                      sized by --plan fixed:N|ci:EPS[:CONF] (--trials N = --plan \
                      fixed:N)\n\

@@ -6,12 +6,12 @@
 //! [`FailureCounts`] into a [`CampaignReport`]. [`Campaign::execute`] is
 //! the one entry point, and the builder's state makes every choice: an
 //! adaptive [`PlanSpec`] runs planner rounds and keeps the planner state
-//! in the report; `threads(n)` with `n > 1` runs each round on the
-//! work-stealing scheduler ([`crate::scheduler`]), otherwise trials run
-//! serially, the only loop that checkpoints; `resume` continues from the
-//! builder's checkpoint. Both loops reduce results in canonical
-//! trial-index order, so serial and work-stealing runs of the same seed
-//! produce **byte-identical** reports.
+//! in the report; every round runs on the trial scheduler
+//! ([`crate::scheduler`]) with `threads(n)` workers, one of which runs
+//! inline; a configured checkpoint is written at any thread count; and
+//! `resume` continues from the builder's checkpoint. The scheduler hands
+//! results back in canonical trial-index order, so runs of the same seed
+//! produce **byte-identical** reports at every thread count.
 //!
 //! With [`TrialConfig::warmup_requests`] set, trials start from a shared
 //! warm device state. The warm-up is run once per configuration, frozen
@@ -27,6 +27,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use pfault_obs::Metrics;
@@ -243,7 +244,7 @@ impl CampaignReport {
     }
 
     /// Absorbs one trial result and tallies its failure bit into the
-    /// planner state, if any. Both engines funnel results through this
+    /// planner state, if any. Every trial result funnels through this
     /// in canonical index order.
     fn absorb_result(
         &mut self,
@@ -310,7 +311,7 @@ struct CampaignCheckpoint {
 const CHECKPOINT_VERSION: u32 = 6;
 
 /// Progress handed to a [`Campaign::execute`] observer after each
-/// absorbed trial (serial loop) or round (stealing loop) and, at
+/// absorbed trial, in trial order at any thread count, and, at
 /// checkpoint boundaries, after the checkpoint hit disk — so an observer
 /// that persists progress can rely on the snapshot being durable first.
 #[derive(Debug)]
@@ -411,9 +412,10 @@ impl CampaignBuilder {
         self
     }
 
-    /// Worker threads (default 1 = the serial loop; clamped to ≥ 1).
-    /// More than one runs the work-stealing loop. The thread count never
-    /// changes the report — only how fast it is produced.
+    /// Worker threads (default 1, which runs every trial on the
+    /// caller's thread; clamped to ≥ 1). The thread count never changes
+    /// the report, the checkpoints or the observer's calls — only how
+    /// fast they are produced.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.0.threads = threads.max(1);
@@ -431,8 +433,8 @@ impl CampaignBuilder {
     }
 
     /// Writes a resumable JSON checkpoint to `path` after every `every`
-    /// completed trials (serial runs only; `every` is clamped to ≥ 1),
-    /// and is where `execute(true, ..)` resumes from. The write is
+    /// completed trials (at any thread count; `every` is clamped to
+    /// ≥ 1), and is where `execute(true, ..)` resumes from. The write is
     /// atomic: a temp file is renamed over `path`.
     #[must_use]
     pub fn checkpoint(mut self, path: impl Into<PathBuf>, every: u64) -> Self {
@@ -462,8 +464,8 @@ impl CampaignBuilder {
 }
 
 impl Campaign {
-    /// Starts a builder for `config` with the defaults: seed 0, serial,
-    /// no retries, no checkpointing, a fresh snapshot cache.
+    /// Starts a builder for `config` with the defaults: seed 0, one
+    /// thread, no retries, no checkpointing, a fresh snapshot cache.
     pub fn builder(config: CampaignConfig) -> CampaignBuilder {
         CampaignBuilder(Campaign {
             config,
@@ -628,31 +630,29 @@ impl Campaign {
     /// * the report carries planner state iff the plan is adaptive
     ///   (not [`PlanSpec::Fixed`]); the planner extends or stops the run
     ///   at round boundaries;
-    /// * more than one [`CampaignBuilder::threads`] runs each round on
-    ///   the work-stealing scheduler, otherwise trials run serially;
-    /// * the serial loop writes the configured checkpoint every `every`
-    ///   trials, and before a pause.
+    /// * each round runs on the trial scheduler with
+    ///   [`CampaignBuilder::threads`] workers;
+    /// * the configured checkpoint is written every `every` trials, and
+    ///   before a pause.
     ///
-    /// After every absorbed trial (serial) or round (stealing) the
-    /// observer sees the prefix and may pause the run; resuming a paused
-    /// run later yields a report byte-identical to an uninterrupted one.
+    /// After every absorbed trial the observer sees the prefix and may
+    /// pause the run; resuming a paused run later, on any thread count,
+    /// yields a report byte-identical to an uninterrupted one.
     /// Trials that panic, exceed the watchdog budget, or brick the
     /// device are retried per [`CampaignBuilder::retries`] and, if still
     /// failing, recorded in [`CampaignReport::failures`] — the campaign
     /// itself keeps going.
     ///
-    /// Errors with `InvalidConfig` for a splitting plan, a checkpoint
-    /// with more than one thread, or `resume` without a checkpoint; with
-    /// a checkpoint error on IO problems, on a checkpoint from another
-    /// campaign, or when the checkpoint's planner state disagrees with
-    /// the plan.
+    /// Errors with `InvalidConfig` for a splitting plan or `resume`
+    /// without a checkpoint; with a checkpoint error on IO problems, on
+    /// a checkpoint from another campaign, or when the checkpoint's
+    /// planner state disagrees with the plan.
     pub fn execute(
         &self,
         resume: bool,
         observer: &mut dyn FnMut(CampaignProgress<'_>) -> ProgressSignal,
     ) -> Result<ObservedRun, PlatformError> {
-        let steal = (self.threads > 1).then_some(self.threads);
-        Ok(self.drive(resume, steal, observer)?.0)
+        Ok(self.drive(resume, self.threads, observer)?.0)
     }
 
     /// Runs the campaign from scratch: [`Campaign::execute`] without an
@@ -664,17 +664,14 @@ impl Campaign {
         }
     }
 
-    /// [`Campaign::run`] on the work-stealing loop with `threads`
-    /// workers (`0` is treated as `1`; the pool is capped at the round
-    /// size) whatever the builder's thread count, also returning the
-    /// scheduler's per-worker telemetry (trials run, steals,
-    /// utilization) for the last round. The stats are
+    /// [`Campaign::run`] with `threads` workers (`0` is treated as `1`;
+    /// the pool is capped at the round size) whatever the builder's
+    /// thread count, also returning the scheduler's per-worker telemetry
+    /// (trials run, utilization) for the last round. The stats are
     /// wall-clock-dependent and live outside the report so reports stay
     /// engine-independent.
     pub fn run_stealing_with_stats(&self, threads: usize) -> (CampaignReport, SchedulerStats) {
-        match self.drive(false, Some(threads.max(1)), &mut |_| {
-            ProgressSignal::Continue
-        }) {
+        match self.drive(false, threads, &mut |_| ProgressSignal::Continue) {
             Ok((run, stats)) => (run.report, stats),
             Err(e) => panic!("campaign failed: {e}"),
         }
@@ -692,31 +689,24 @@ impl Campaign {
         Ok((snapshot.completed, snapshot.report))
     }
 
-    /// The trial loop behind [`Campaign::execute`]. Each pass runs one
-    /// trial (serial) or the rest of the current round on
-    /// [`scheduler::run_work_stealing`] (`steal` = its thread count),
-    /// which folds results in canonical index order, so both engines
-    /// produce the same bytes. A plan-less report is one round of
-    /// `trials`. After each pass the planner may extend or finish the
-    /// run at a round boundary, a due checkpoint is written, and the
-    /// observer may pause; a pause mid-stride checkpoints the prefix
-    /// (when configured) so nothing completed is lost. The planner's
-    /// decisions and the failure bits are pure functions of the absorbed
-    /// prefix, so pausing anywhere — even mid-round — and resuming is
-    /// byte-identical to never pausing. Also returns the scheduler
-    /// stats of the last stealing round.
+    /// The trial loop behind [`Campaign::execute`]. Each pass runs the
+    /// rest of the current round on [`scheduler::run_work_stealing`] with
+    /// `threads` workers (one runs inline), which hands the results back
+    /// in canonical index order on the caller's thread; a plan-less
+    /// report is one round of `trials`. Each absorbed trial is then
+    /// [`Campaign::settle`]d. A pause or an error raises `halt`: workers
+    /// skip the trials they have not started and the results still in
+    /// flight are dropped. The planner's decisions and the failure bits
+    /// are pure functions of the absorbed prefix, so pausing anywhere —
+    /// even mid-round — and resuming is byte-identical to never pausing,
+    /// at any thread count. Also returns the scheduler stats of the last
+    /// pass.
     fn drive(
         &self,
         resume: bool,
-        steal: Option<usize>,
+        threads: usize,
         observer: &mut dyn FnMut(CampaignProgress<'_>) -> ProgressSignal,
     ) -> Result<(ObservedRun, SchedulerStats), PlatformError> {
-        if steal.is_some() && self.checkpoint.is_some() {
-            return Err(PlatformError::InvalidConfig(
-                "checkpoints need the serial trial loop: build the campaign with threads(1)"
-                    .to_string(),
-            ));
-        }
         let mut report = self.fresh_report()?;
         let mut completed = 0;
         if resume {
@@ -741,8 +731,9 @@ impl Campaign {
         let image = lookup.as_ref().map(|(image, _)| image.as_ref());
         let trials = self.config.trials as u64;
         let mut stats = SchedulerStats::default();
-        let mut paused = false;
-        loop {
+        let halt = AtomicBool::new(false);
+        let (mut paused, mut failure) = (false, None);
+        while !paused && failure.is_none() {
             let target = match report.plan.as_mut() {
                 Some(state) if state.done => break,
                 Some(state) if completed >= state.targets[0] => {
@@ -753,53 +744,35 @@ impl Campaign {
                 None if completed >= trials => break,
                 None => trials,
             };
-            if let Some(threads) = steal {
-                let start = completed;
-                (report, stats) = scheduler::run_work_stealing(
-                    target - start,
-                    threads,
-                    scheduler::DEFAULT_CHUNK,
-                    |i| self.run_one(&platform, image, start + i),
-                    report,
-                    |report, i, (result, retries_used)| {
-                        report.absorb_result(start + i, result, retries_used);
-                    },
-                );
-                completed = target;
-            } else {
-                let (result, retries_used) = self.run_one(&platform, image, completed);
-                report.absorb_result(completed, result, retries_used);
-                completed += 1;
-            }
-            let (done, trials_now) = match report.plan.as_mut() {
-                Some(state) => {
-                    if state.round_complete() {
-                        state.advance()?;
+            let start = completed;
+            (_, stats) = scheduler::run_work_stealing(
+                target - start,
+                threads,
+                scheduler::DEFAULT_CHUNK,
+                |i| {
+                    (!halt.load(Ordering::Relaxed))
+                        .then(|| self.run_one(&platform, image, start + i))
+                },
+                (),
+                |(), _, ran| {
+                    let Some((result, retries_used)) =
+                        ran.filter(|_| !halt.load(Ordering::Relaxed))
+                    else {
+                        return; // a pause or an error already ended the run
+                    };
+                    report.absorb_result(completed, result, retries_used);
+                    completed += 1;
+                    match self.settle(completed, trials, &mut report, observer) {
+                        Ok(false) => return,
+                        Ok(true) => paused = true,
+                        Err(error) => failure = Some(error),
                     }
-                    (state.done, state.targets[0].max(completed))
-                }
-                None => (completed >= trials, trials),
-            };
-            let mut checkpointed = false;
-            if let Some(spec) = &self.checkpoint {
-                if completed.is_multiple_of(spec.every) && !done {
-                    self.write_checkpoint(spec, completed, &report)?;
-                    checkpointed = true;
-                }
-            }
-            let signal = observer(CampaignProgress {
-                completed,
-                trials: trials_now,
-                checkpointed,
-                report: &report,
-            });
-            if signal == ProgressSignal::Pause && !done {
-                if let Some(spec) = self.checkpoint.as_ref().filter(|_| !checkpointed) {
-                    self.write_checkpoint(spec, completed, &report)?;
-                }
-                paused = true;
-                break;
-            }
+                    halt.store(true, Ordering::Relaxed);
+                },
+            );
+        }
+        if let Some(error) = failure {
+            return Err(error);
         }
         let run = ObservedRun {
             report,
@@ -809,6 +782,51 @@ impl Campaign {
             cache_misses: u64::from(matches!(lookup, Some((_, false)))),
         };
         Ok((run, stats))
+    }
+
+    /// The bookkeeping after the trial that brought the prefix to
+    /// `completed` (of `trials`, unless a planner sets the target):
+    /// closes the planner round if that trial ended it, writes a due
+    /// checkpoint, and shows the observer the prefix. Returns whether
+    /// the observer paused a run with trials left, in which case the
+    /// prefix is checkpointed (when configured) so nothing absorbed is
+    /// lost.
+    fn settle(
+        &self,
+        completed: u64,
+        trials: u64,
+        report: &mut CampaignReport,
+        observer: &mut dyn FnMut(CampaignProgress<'_>) -> ProgressSignal,
+    ) -> Result<bool, PlatformError> {
+        let (done, trials) = match report.plan.as_mut() {
+            Some(state) => {
+                if state.round_complete() {
+                    state.advance()?;
+                }
+                (state.done, state.targets[0].max(completed))
+            }
+            None => (completed >= trials, trials),
+        };
+        let mut checkpointed = false;
+        if let Some(spec) = &self.checkpoint {
+            if completed.is_multiple_of(spec.every) && !done {
+                self.write_checkpoint(spec, completed, report)?;
+                checkpointed = true;
+            }
+        }
+        let signal = observer(CampaignProgress {
+            completed,
+            trials,
+            checkpointed,
+            report,
+        });
+        if signal == ProgressSignal::Continue || done {
+            return Ok(false);
+        }
+        if let Some(spec) = self.checkpoint.as_ref().filter(|_| !checkpointed) {
+            self.write_checkpoint(spec, completed, report)?;
+        }
+        Ok(true)
     }
 }
 
@@ -897,11 +915,8 @@ mod tests {
         let serial = report_bytes(&campaign.run());
         let two = report_bytes(&on_threads(&campaign, 2));
         let three = report_bytes(&on_threads(&campaign, 3));
-        assert_eq!(serial, two, "work-stealing on 2 threads must match serial");
-        assert_eq!(
-            serial, three,
-            "work-stealing on 3 threads must match serial"
-        );
+        assert_eq!(serial, two, "2 threads must match serial");
+        assert_eq!(serial, three, "3 threads must match serial");
     }
 
     #[test]
@@ -1396,21 +1411,56 @@ mod tests {
     }
 
     #[test]
-    fn checkpoints_with_threads_or_resume_without_one_are_invalid_config() {
+    fn resume_without_a_checkpoint_is_invalid_config() {
+        let campaign = Campaign::builder(tiny_config()).seed(7).build();
+        match go(&campaign, true) {
+            Err(PlatformError::InvalidConfig(why)) => assert!(why.contains("checkpoint")),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn threaded_run_pauses_mid_round_and_resumes_on_one_thread() {
         let path = std::env::temp_dir().join(format!(
-            "pfault-checkpoint-threads-{}.json",
+            "pfault-checkpoint-threaded-{}.json",
             std::process::id()
         ));
         let _ = std::fs::remove_file(&path);
-        let builder = Campaign::builder(tiny_config()).seed(7);
+        let builder = Campaign::builder(tiny_config())
+            .seed(61)
+            .plan(loose_ci_spec());
+        let plain = builder.clone().build().run();
         let threaded = builder.clone().threads(3).checkpoint(&path, 2).build();
-        for (campaign, resume) in [(threaded, false), (builder.build(), true)] {
-            match go(&campaign, resume) {
-                Err(PlatformError::InvalidConfig(why)) => assert!(why.contains("checkpoint")),
-                other => panic!("expected InvalidConfig, got {other:?}"),
-            }
-        }
-        assert!(!path.exists(), "a refused run must not write a checkpoint");
+        // Rounds are three trials wide, so trial 4 is mid-round.
+        let mut seen = Vec::new();
+        let run = threaded
+            .execute(false, &mut |p| {
+                seen.push(p.completed);
+                if p.completed == 4 {
+                    ProgressSignal::Pause
+                } else {
+                    ProgressSignal::Continue
+                }
+            })
+            .expect("threaded run");
+        assert!(run.paused);
+        assert_eq!(run.completed, 4);
+        assert_eq!(
+            seen,
+            vec![1, 2, 3, 4],
+            "the observer sees every trial in order"
+        );
+        assert_eq!(threaded.checkpoint_snapshot(&path).expect("ckpt").0, 4);
+
+        let serial = builder.checkpoint(&path, 2).build();
+        let resumed = go(&serial, true).expect("resume on one thread");
+        assert!(!resumed.paused);
+        assert_eq!(
+            report_bytes(&resumed.report),
+            report_bytes(&plain),
+            "a threaded pause resumed on one thread must equal the uninterrupted run"
+        );
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -20,15 +20,19 @@
 //! 2. a confidence-driven plan ([`PlanSpec::ci`]) targeting that same
 //!    half-width must converge at **≥10x fewer trials** (Neyman
 //!    allocation concentrates rounds on the rare stratum);
-//! 3. the same adaptive plan re-run on three workers must produce a
-//!    byte-identical report;
+//! 3. the same adaptive plan re-run on another worker count must
+//!    produce a byte-identical report;
 //! 4. an importance-splitting plan ([`PlanSpec::split`]) must place
 //!    deterministic, strictly ascending level thresholds and land its
 //!    deep-tail estimate within an order of magnitude of the known
 //!    rate;
 //! 5. a *real* planned campaign (actual fault-injection trials, not
-//!    microtrials) must agree byte-for-byte between serial and
-//!    threaded planned runs and across a mid-round checkpoint/resume.
+//!    microtrials) must agree byte-for-byte across two worker counts
+//!    and across a mid-round checkpoint/resume.
+//!
+//! Plans and campaigns run on the scale's worker count (`--engine` /
+//! `--threads`), and each worker-count check re-runs on one other
+//! count: 3 when the scale has one worker, else 1.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -165,7 +169,8 @@ pub struct PlanExpReport {
     pub adaptive: PlanReport,
     /// `fixed.trials / adaptive.trials` — must be ≥ 10.
     pub gain: f64,
-    /// Adaptive reports on one and three workers byte-equal.
+    /// Adaptive reports on the scale's and one other worker count
+    /// byte-equal.
     pub engines_agree: bool,
     /// Importance-splitting run on the same point.
     pub split: PlanReport,
@@ -173,7 +178,8 @@ pub struct PlanExpReport {
     pub split_deterministic: bool,
     /// Trials the real planned fault-injection campaign ran.
     pub campaign_trials: u64,
-    /// Serial vs threaded planned campaign byte-equal.
+    /// Planned campaigns on the scale's and one other worker count
+    /// byte-equal.
     pub campaign_engines_agree: bool,
     /// Mid-round checkpoint/resume byte-equal to uninterrupted.
     pub campaign_resume_matches: bool,
@@ -204,38 +210,41 @@ fn campaign_ci_spec() -> PlanSpec {
 /// the real planned campaign, all deterministically derived from
 /// `seed`.
 pub fn run(scale: ExperimentScale, seed: u64) -> Result<PlanExpReport, PlatformError> {
+    let threads = scale.threads;
+    let other = if threads == 1 { 3 } else { 1 };
     let point = census_point(seed)?;
     let (vulnerable_site, vulnerable_weight) = point.vulnerable();
 
     // 1. Fixed-N baseline: the band a classic campaign buys.
-    let fixed = run_plan(&point, PlanSpec::fixed(FIXED_TRIALS), seed, 1)?;
+    let fixed = run_plan(&point, PlanSpec::fixed(FIXED_TRIALS), seed, threads)?;
 
     // 2. Adaptive run targeting the baseline's achieved half-width.
     let eps = fixed.wilson.half_width();
     let adaptive_spec = PlanSpec::ci(eps, 0.95);
-    let adaptive = run_plan(&point, adaptive_spec, seed, 1)?;
+    let adaptive = run_plan(&point, adaptive_spec, seed, threads)?;
     let gain = fixed.trials as f64 / adaptive.trials.max(1) as f64;
 
     // 3. Worker-count byte-equality on the adaptive plan.
-    let threaded = run_plan(&point, adaptive_spec, seed, 3)?;
-    let engines_agree = report_bytes(&adaptive) == report_bytes(&threaded);
+    let cross = run_plan(&point, adaptive_spec, seed, other)?;
+    let engines_agree = report_bytes(&adaptive) == report_bytes(&cross);
 
     // 4. Importance splitting, twice, for determinism.
-    let split = run_plan(&point, PlanSpec::split(3), seed, 1)?;
-    let split_again = run_plan(&point, PlanSpec::split(3), seed, 1)?;
+    let split = run_plan(&point, PlanSpec::split(3), seed, threads)?;
+    let split_again = run_plan(&point, PlanSpec::split(3), seed, threads)?;
     let split_deterministic = report_bytes(&split) == report_bytes(&split_again);
 
-    // 5. The real thing: a planned fault-injection campaign, serial vs
-    //    threaded, and a mid-round pause/resume.
+    // 5. The real thing: a planned fault-injection campaign on two
+    //    worker counts, and a mid-round pause/resume.
     let config = campaign_at(base_trial(), scale);
     let builder = Campaign::builder(config)
         .plan(campaign_ci_spec())
-        .seed(seed);
+        .seed(seed)
+        .threads(threads);
     let go =
         |campaign: Campaign, resume| campaign.execute(resume, &mut |_| ProgressSignal::Continue);
-    let serial = go(builder.clone().build(), false)?.report;
-    let threaded = go(builder.clone().threads(3).build(), false)?.report;
-    let campaign_engines_agree = campaign_bytes(&serial) == campaign_bytes(&threaded);
+    let planned = go(builder.clone().build(), false)?.report;
+    let cross = go(builder.clone().threads(other).build(), false)?.report;
+    let campaign_engines_agree = campaign_bytes(&planned) == campaign_bytes(&cross);
 
     let dir = std::env::temp_dir().join("pfault-plan-exp");
     std::fs::create_dir_all(&dir)
@@ -257,7 +266,7 @@ pub fn run(scale: ExperimentScale, seed: u64) -> Result<PlanExpReport, PlatformE
     } else {
         paused.report.clone()
     };
-    let campaign_resume_matches = campaign_bytes(&resumed) == campaign_bytes(&serial);
+    let campaign_resume_matches = campaign_bytes(&resumed) == campaign_bytes(&planned);
     let _ = std::fs::remove_file(&path);
 
     Ok(PlanExpReport {
@@ -271,7 +280,7 @@ pub fn run(scale: ExperimentScale, seed: u64) -> Result<PlanExpReport, PlatformE
         engines_agree,
         split,
         split_deterministic,
-        campaign_trials: serial.faults,
+        campaign_trials: planned.faults,
         campaign_engines_agree,
         campaign_resume_matches,
     })
@@ -305,7 +314,7 @@ pub fn check(report: &PlanExpReport) -> Vec<String> {
         fail("adaptive interval does not cover its own estimate".to_string());
     }
     if !report.engines_agree {
-        fail("adaptive reports on one and three workers differ".to_string());
+        fail("adaptive reports on two worker counts differ".to_string());
     }
     if !report.split_deterministic {
         fail("same-seed splitting runs differ".to_string());
@@ -334,7 +343,7 @@ pub fn check(report: &PlanExpReport) -> Vec<String> {
         _ => fail("splitting produced no positive tail estimate".to_string()),
     }
     if !report.campaign_engines_agree {
-        fail("serial vs threaded planned campaigns differ".to_string());
+        fail("planned campaigns on two worker counts differ".to_string());
     }
     if !report.campaign_resume_matches {
         fail("checkpoint/resume planned campaign differs from uninterrupted".to_string());

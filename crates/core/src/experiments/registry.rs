@@ -537,14 +537,6 @@ fn run_campaign(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> 
         ));
     }
     let threads = o.workers(1);
-    if threads > 1 && o.checkpoint.is_some() {
-        return Err(PlatformError::InvalidConfig(
-            "--checkpoint needs one worker: add --engine serial \
-             (a run on more than one worker writes no checkpoints)"
-                .into(),
-        ));
-    }
-    // The campaign steals iff it has more than one thread.
     let mut builder = Campaign::builder(config)
         .plan(spec)
         .seed(ctx.seed)
@@ -1030,48 +1022,36 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_with_the_stealing_engine_is_invalid_config() {
-        let path = std::env::temp_dir().join(format!(
-            "pfault-registry-stealing-{}.ckpt",
-            std::process::id()
-        ));
-        for (engine, threads) in [(EngineArg::Stealing, 2), (EngineArg::Auto, 2)] {
-            let mut ctx = tiny_ctx();
-            ctx.opts.engine = engine;
-            ctx.opts.threads = Some(threads);
-            ctx.opts.checkpoint = Some(path.clone());
-            match (find("campaign").expect("registered").run)(&ctx) {
-                Err(PlatformError::InvalidConfig(why)) => {
-                    assert!(why.contains("--engine serial"), "{why}");
-                }
-                other => panic!("expected InvalidConfig, got {other:?}"),
-            }
-        }
-        assert!(!path.exists(), "a refused run must not write a checkpoint");
-    }
-
-    #[test]
     fn serial_engine_checkpoints_adaptive_plans_at_any_thread_count() {
         let path = std::env::temp_dir().join(format!(
             "pfault-registry-serial-{}.ckpt",
             std::process::id()
         ));
-        let _ = std::fs::remove_file(&path);
-        let mut ctx = tiny_ctx();
-        ctx.opts.plan = Some(PlanSpec::Confidence {
-            half_width: 0.45,
-            confidence: 0.9,
-            exact: false,
-            min_trials: 9,
-            max_trials: 24,
-            round: 3,
-        });
-        ctx.opts.engine = EngineArg::Serial;
-        ctx.opts.threads = Some(2);
-        ctx.opts.checkpoint = Some(path.clone());
-        ctx.opts.checkpoint_every = 2;
-        (find("campaign").expect("registered").run)(&ctx).expect("serial adaptive campaign runs");
-        assert!(path.exists(), "--engine serial must write its checkpoint");
+        // Every engine checkpoints: `serial` pins one worker, `stealing`
+        // and `auto` run on both.
+        for engine in [EngineArg::Serial, EngineArg::Stealing, EngineArg::Auto] {
+            let _ = std::fs::remove_file(&path);
+            let mut ctx = tiny_ctx();
+            ctx.opts.plan = Some(PlanSpec::Confidence {
+                half_width: 0.45,
+                confidence: 0.9,
+                exact: false,
+                min_trials: 9,
+                max_trials: 24,
+                round: 3,
+            });
+            ctx.opts.engine = engine;
+            ctx.opts.threads = Some(2);
+            ctx.opts.checkpoint = Some(path.clone());
+            ctx.opts.checkpoint_every = 2;
+            (find("campaign").expect("registered").run)(&ctx)
+                .expect("checkpointed adaptive campaign runs");
+            assert!(
+                path.exists(),
+                "--engine {} --threads 2 must write its checkpoint",
+                engine.name()
+            );
+        }
         let _ = std::fs::remove_file(&path);
     }
 
