@@ -5,9 +5,9 @@
 //! recovery storm, a watchdog-budget trial) leaves the other workers
 //! idle at the tail. Here every worker instead claims the next `chunk`
 //! trial indices from one shared atomic cursor whenever it is free, so
-//! a slow trial only ever holds up the worker running it. Trials cost
-//! milliseconds and a claim is one `fetch_add`, so claiming a single
-//! index at a time ([`DEFAULT_CHUNK`]) costs nothing measurable.
+//! a slow trial only ever holds up the worker running it. Kv, fleet and
+//! campaign trials cost 0.13–10 ms and a claim about 0.25 µs, so one
+//! index per claim ([`DEFAULT_CHUNK`]) costs nothing measurable.
 //!
 //! Results are *not* reduced here in arrival order. Workers emit
 //! `(trial index, result)` pairs and the caller's accumulator absorbs
@@ -151,6 +151,7 @@ where
     A: FnMut(&mut R, u64, T),
 {
     let threads = threads.clamp(1, trials.max(1) as usize);
+    // Capped at `trials` so the claims past the end cannot wrap the cursor.
     let chunk = chunk.clamp(1, trials.max(1));
     let cursor = AtomicU64::new(0);
     let mut acc = acc;
@@ -318,10 +319,30 @@ mod tests {
         );
         assert_eq!(seen, (0..24).sum::<u64>());
         assert_eq!(stats.workers.iter().map(|w| w.trials_run).sum::<u64>(), 24);
-        assert!(
-            stats.workers.iter().any(|w| w.trials_run == 1),
+        let slow = stats
+            .workers
+            .iter()
+            .max_by_key(|w| w.busy_us)
+            .expect("four workers");
+        assert_eq!(
+            slow.trials_run, 1,
             "the worker on the slow trial must run only that trial: {stats:?}"
         );
+    }
+
+    #[test]
+    fn an_oversized_chunk_runs_every_trial_once() {
+        // Three claims of 2^63 would wrap the cursor back to 0.
+        let (seen, stats) = run_work_stealing(
+            8,
+            3,
+            1 << 63,
+            |i| i,
+            Vec::new(),
+            |acc: &mut Vec<(u64, u64)>, i, out| acc.push((i, out)),
+        );
+        assert_eq!(seen, serial_fold(8, |i| i));
+        assert_eq!(stats.workers.iter().map(|w| w.trials_run).sum::<u64>(), 8);
     }
 
     #[test]
