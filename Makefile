@@ -160,8 +160,8 @@ serve-smoke: build
 	./target/release/repro --exp serve --seed 11
 
 # Self-checking: the plan experiment exits non-zero unless the ≥10x
-# trial-saving, two worker counts agreeing byte for byte, splitting
-# determinism, and planned resume properties all held (see
+# trial-saving, two worker counts agreeing byte for byte, and planned
+# resume properties all held (see
 # crates/core/src/experiments/plan.rs); cmp enforces byte-identical
 # same-seed reports.
 plan-smoke: build

@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! repro [--scale quick|paper] [--seed N] [--exp NAME] [--json FILE]
-//!       [--list-exps] [--trials N] [--plan fixed:N|ci:EPS[:CONF]|split:LEVELS]
+//!       [--list-exps] [--trials N] [--plan fixed:N|ci:EPS[:CONF]]
 //!       [--retries N] [--checkpoint FILE]
 //!       [--checkpoint-every K] [--resume] [--watchdog-ms N]
 //!       [--watchdog-events N] [--threads N]
@@ -170,7 +170,7 @@ fn main() -> ExitCode {
                 println!(
                     "repro [--scale quick|paper] [--seed N] [--exp NAME] [--json FILE] \
                      [--list-exps]\n\
-                     \x20     [--trials N] [--plan fixed:N|ci:EPS[:CONF]|split:LEVELS] \
+                     \x20     [--trials N] [--plan fixed:N|ci:EPS[:CONF]] \
                      [--retries N]\n\
                      \x20     [--checkpoint FILE] [--checkpoint-every K]\n\
                      \x20     [--resume] [--watchdog-ms N] [--watchdog-events N]\n\

@@ -188,7 +188,7 @@ pub struct CampaignReport {
     pub obs: ObsAggregate,
     /// Planner state for plan-driven runs (`None` for plain fixed
     /// loops): per-stratum tallies, round index, and current round
-    /// targets. Living inside the report means checkpoint v6 persists
+    /// targets. Living inside the report means the checkpoint persists
     /// it automatically, so adaptive campaigns pause/resume
     /// byte-identically.
     pub plan: Option<PlanState>,
@@ -308,7 +308,10 @@ struct CampaignCheckpoint {
 // adaptive campaigns, and the config digest now covers the campaign's
 // `PlanSpec` — a v5 snapshot would deserialize into a different report
 // shape and lose the planner's round/tally state.
-const CHECKPOINT_VERSION: u32 = 6;
+// v7: `PlanState` lost its splitting `levels` field with importance
+// splitting, so a v6 snapshot of an adaptive campaign carries a field
+// the planner no longer has.
+const CHECKPOINT_VERSION: u32 = 7;
 
 /// Progress handed to a [`Campaign::execute`] observer after each
 /// absorbed trial, in trial order at any thread count, and, at
@@ -396,8 +399,6 @@ impl CampaignBuilder {
     /// fixed-N loop with a plan-less report; a confidence spec makes the
     /// campaign adaptive. The config's `trials` field is set to the
     /// plan's budget so legacy readers keep a meaningful denominator.
-    /// Splitting specs are rejected at run time: whole campaigns expose
-    /// only pass/fail bits, not severities.
     #[must_use]
     pub fn plan(mut self, spec: PlanSpec) -> Self {
         self.0.config.trials = spec.trial_budget() as usize;
@@ -518,19 +519,11 @@ impl Campaign {
     }
 
     /// A fresh report: plan-less for a fixed plan, carrying the initial
-    /// single-stratum planner state for an adaptive one. Splitting plans
-    /// are refused.
+    /// single-stratum planner state for an adaptive one.
     fn fresh_report(&self) -> Result<CampaignReport, PlatformError> {
         let mut report = CampaignReport::empty();
         match self.plan_spec() {
             PlanSpec::Fixed { .. } => {}
-            PlanSpec::Splitting { .. } => {
-                return Err(PlatformError::InvalidConfig(
-                    "splitting plans need a severity source (plan::run_plan on a PlanPoint); \
-                     whole campaigns expose only pass/fail trials"
-                        .to_string(),
-                ))
-            }
             spec => report.plan = Some(PlanState::single(spec)?),
         }
         Ok(report)
@@ -643,8 +636,8 @@ impl Campaign {
     /// failing, recorded in [`CampaignReport::failures`] — the campaign
     /// itself keeps going.
     ///
-    /// Errors with `InvalidConfig` for a splitting plan or `resume`
-    /// without a checkpoint; with a checkpoint error on IO problems, on
+    /// Errors with `InvalidConfig` for a degenerate plan spec or
+    /// `resume` without a checkpoint; with a checkpoint error on IO problems, on
     /// a checkpoint from another campaign, or when the checkpoint's
     /// planner state disagrees with the plan.
     pub fn execute(
@@ -1220,9 +1213,9 @@ mod tests {
 
     #[test]
     fn resume_rejects_old_checkpoint_version() {
-        // Satellite: a v5-era snapshot (before the embedded planner
-        // state) must be refused loudly, not misread — and every older
-        // version likewise, down to v2.
+        // A v6-era snapshot (before the splitting levels left the
+        // planner state) must be refused loudly, not misread — and every
+        // older version likewise, down to v2.
         let dir = std::env::temp_dir().join("pfault-checkpoint-test");
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("stale-version.json");
@@ -1234,15 +1227,16 @@ mod tests {
             .build();
         go(&campaign, false).expect("run");
         let text = std::fs::read_to_string(&path).expect("checkpoint written");
-        assert!(text.contains("\"version\":6"), "snapshot carries v6");
+        assert!(text.contains("\"version\":7"), "snapshot carries v7");
 
         for stale in [
+            "\"version\":6",
             "\"version\":5",
             "\"version\":4",
             "\"version\":3",
             "\"version\":2",
         ] {
-            std::fs::write(&path, text.replace("\"version\":6", stale)).expect("rewrite");
+            std::fs::write(&path, text.replace("\"version\":7", stale)).expect("rewrite");
             match go(&campaign, true) {
                 Err(PlatformError::Checkpoint(CheckpointError::Mismatch { field, .. })) => {
                     assert_eq!(field, "version");
@@ -1541,20 +1535,6 @@ mod tests {
             "planned pause/resume must equal the uninterrupted run"
         );
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn splitting_plans_are_rejected_for_whole_campaigns() {
-        let campaign = Campaign::builder(tiny_config())
-            .seed(19)
-            .plan(PlanSpec::split(3))
-            .build();
-        match go(&campaign, false) {
-            Err(PlatformError::InvalidConfig(why)) => {
-                assert!(why.contains("severity"), "{why}");
-            }
-            other => panic!("expected InvalidConfig, got {other:?}"),
-        }
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! of the failure probability, scaled so the *overall* rate is at most
 //! `1e-3`.
 //!
-//! On that point it runs the three plan kinds and self-checks the
-//! ROADMAP deliverable:
+//! On that point it runs both plan kinds and self-checks the ROADMAP
+//! deliverable:
 //!
 //! 1. a fixed-N baseline ([`PlanSpec::fixed`]) establishes the
 //!    confidence band a classic campaign buys with `FIXED_TRIALS`
@@ -22,11 +22,7 @@
 //!    allocation concentrates rounds on the rare stratum);
 //! 3. the same adaptive plan re-run on another worker count must
 //!    produce a byte-identical report;
-//! 4. an importance-splitting plan ([`PlanSpec::split`]) must place
-//!    deterministic, strictly ascending level thresholds and land its
-//!    deep-tail estimate within an order of magnitude of the known
-//!    rate;
-//! 5. a *real* planned campaign (actual fault-injection trials, not
+//! 4. a *real* planned campaign (actual fault-injection trials, not
 //!    microtrials) must agree byte-for-byte across two worker counts
 //!    and across a mid-round checkpoint/resume.
 //!
@@ -60,9 +56,7 @@ const MAX_SITE_RATE: f64 = 0.2;
 
 /// A microtrial point stratified over the fault-site census: stratum
 /// `h` fails with probability `rates[h]`, decided by a deterministic
-/// per-`(h, index)` uniform draw. Severity is that draw rescaled so
-/// `>= 1.0` means failure, which gives importance splitting a
-/// continuous resolution to climb.
+/// per-`(h, index)` uniform draw.
 pub struct CensusPoint {
     strata: Vec<(String, f64)>,
     rates: Vec<f64>,
@@ -74,19 +68,15 @@ impl PlanPoint for CensusPoint {
         self.strata.clone()
     }
 
-    fn severity(&self, stratum: usize, index: u64) -> f64 {
+    fn failed(&self, stratum: usize, index: u64) -> bool {
         let u = pfault_sim::DetRng::new(self.seed)
             .fork("plan-census-sev")
             .fork_index(stratum as u64)
             .fork_index(index)
             .unit_f64();
-        // P(u >= 1 - p) = p, and the rescale keeps severity continuous
-        // on [0, 1/(1-p)) so splitting thresholds have resolution.
+        // P(u / (1 - p) >= 1) = p.
         let p = self.rates[stratum];
-        if p <= 0.0 {
-            return u * (1.0 - f64::EPSILON);
-        }
-        u / (1.0 - p)
+        p > 0.0 && u / (1.0 - p) >= 1.0
     }
 }
 
@@ -172,10 +162,6 @@ pub struct PlanExpReport {
     /// Adaptive reports on the scale's and one other worker count
     /// byte-equal.
     pub engines_agree: bool,
-    /// Importance-splitting run on the same point.
-    pub split: PlanReport,
-    /// Two same-seed splitting runs byte-equal.
-    pub split_deterministic: bool,
     /// Trials the real planned fault-injection campaign ran.
     pub campaign_trials: u64,
     /// Planned campaigns on the scale's and one other worker count
@@ -216,24 +202,19 @@ pub fn run(scale: ExperimentScale, seed: u64) -> Result<PlanExpReport, PlatformE
     let (vulnerable_site, vulnerable_weight) = point.vulnerable();
 
     // 1. Fixed-N baseline: the band a classic campaign buys.
-    let fixed = run_plan(&point, PlanSpec::fixed(FIXED_TRIALS), seed, threads)?;
+    let fixed = run_plan(&point, PlanSpec::fixed(FIXED_TRIALS), threads)?;
 
     // 2. Adaptive run targeting the baseline's achieved half-width.
     let eps = fixed.wilson.half_width();
     let adaptive_spec = PlanSpec::ci(eps, 0.95);
-    let adaptive = run_plan(&point, adaptive_spec, seed, threads)?;
+    let adaptive = run_plan(&point, adaptive_spec, threads)?;
     let gain = fixed.trials as f64 / adaptive.trials.max(1) as f64;
 
     // 3. Worker-count byte-equality on the adaptive plan.
-    let cross = run_plan(&point, adaptive_spec, seed, other)?;
+    let cross = run_plan(&point, adaptive_spec, other)?;
     let engines_agree = report_bytes(&adaptive) == report_bytes(&cross);
 
-    // 4. Importance splitting, twice, for determinism.
-    let split = run_plan(&point, PlanSpec::split(3), seed, threads)?;
-    let split_again = run_plan(&point, PlanSpec::split(3), seed, threads)?;
-    let split_deterministic = report_bytes(&split) == report_bytes(&split_again);
-
-    // 5. The real thing: a planned fault-injection campaign on two
+    // 4. The real thing: a planned fault-injection campaign on two
     //    worker counts, and a mid-round pause/resume.
     let config = campaign_at(base_trial(), scale);
     let builder = Campaign::builder(config)
@@ -278,8 +259,6 @@ pub fn run(scale: ExperimentScale, seed: u64) -> Result<PlanExpReport, PlatformE
         adaptive,
         gain,
         engines_agree,
-        split,
-        split_deterministic,
         campaign_trials: planned.faults,
         campaign_engines_agree,
         campaign_resume_matches,
@@ -315,32 +294,6 @@ pub fn check(report: &PlanExpReport) -> Vec<String> {
     }
     if !report.engines_agree {
         fail("adaptive reports on two worker counts differ".to_string());
-    }
-    if !report.split_deterministic {
-        fail("same-seed splitting runs differ".to_string());
-    }
-    let thresholds: Vec<f64> = report.split.levels.iter().map(|l| l.threshold).collect();
-    if thresholds.windows(2).any(|w| w[1] <= w[0]) {
-        fail(format!(
-            "splitting thresholds not ascending: {thresholds:?}"
-        ));
-    }
-    if thresholds.last().copied() != Some(1.0) {
-        fail(format!(
-            "last splitting threshold must be 1.0: {thresholds:?}"
-        ));
-    }
-    match report.split.tail_estimate {
-        Some(tail) if tail > 0.0 => {
-            let ratio = tail / report.true_rate;
-            if !(0.1..=10.0).contains(&ratio) {
-                fail(format!(
-                    "splitting tail estimate {tail} is more than 10x off the true rate {}",
-                    report.true_rate
-                ));
-            }
-        }
-        _ => fail("splitting produced no positive tail estimate".to_string()),
     }
     if !report.campaign_engines_agree {
         fail("planned campaigns on two worker counts differ".to_string());
@@ -393,20 +346,6 @@ pub fn render(report: &PlanExpReport) -> String {
         "gain: {:.1}x fewer trials at the same half-width (engines byte-equal: {})",
         report.gain, report.engines_agree
     );
-    for (i, level) in report.split.levels.iter().enumerate() {
-        let _ = writeln!(
-            text,
-            "split level {}: threshold {:.6} passed {}/{} (conditional {:.4})",
-            i, level.threshold, level.passed, level.samples, level.conditional
-        );
-    }
-    if let Some(tail) = report.split.tail_estimate {
-        let _ = writeln!(
-            text,
-            "split tail estimate {:.3e} vs true rate {:.3e} (deterministic: {})",
-            tail, report.true_rate, report.split_deterministic
-        );
-    }
     let _ = writeln!(
         text,
         "planned campaign: {} real trials; serial==threaded: {}, resume==uninterrupted: {}",
@@ -435,8 +374,8 @@ mod tests {
         assert!(point.true_rate() > 0.0);
         let (_, w) = point.vulnerable();
         assert!(w > 0.0 && w < 1.0);
-        // Severity is pure: same (h, i) twice gives the same value.
-        assert_eq!(point.severity(0, 7), point.severity(0, 7));
+        // Trials are pure: same (h, i) twice gives the same bit.
+        assert_eq!(point.failed(0, 7), point.failed(0, 7));
     }
 
     #[test]
@@ -461,10 +400,6 @@ mod tests {
         assert_eq!(
             serde_json::to_string(&a.adaptive).unwrap(),
             serde_json::to_string(&b.adaptive).unwrap()
-        );
-        assert_eq!(
-            serde_json::to_string(&a.split).unwrap(),
-            serde_json::to_string(&b.split).unwrap()
         );
     }
 }

@@ -495,8 +495,7 @@ fn run_kv(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
 /// must prove that confidence-driven stopping matches a fixed-N
 /// campaign's interval half-width at ≥10x fewer trials on a
 /// low-failure-rate point, that same-seed PlanReports are byte-equal
-/// across worker counts and across checkpoint/resume, and that
-/// splitting levels are deterministic and strictly ascending.
+/// across worker counts and across checkpoint/resume.
 fn run_plan(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
     let report = plan::run(ctx.sweep_scale(), ctx.seed)?;
     let checks = plan::check(&report);

@@ -49,7 +49,6 @@ use pfault_platform::campaign::{
     Campaign, CampaignBuilder, CampaignConfig, CampaignProgress, ProgressSignal,
 };
 use pfault_platform::experiments::{self, ExperimentCtx, ExperimentOpts, ExperimentScale};
-use pfault_platform::plan::PlanSpec;
 use pfault_platform::{ObsAggregate, SnapshotCache};
 use pfault_sim::checksum::fnv64;
 
@@ -454,16 +453,7 @@ pub fn campaign_for(spec: &JobSpec) -> Result<CampaignBuilder, String> {
     match &spec.plan {
         // The plan is the sizing surface; `trials` is only the classic
         // fallback denominator.
-        Some(plan) => {
-            plan.validate().map_err(|e| e.to_string())?;
-            if matches!(plan, PlanSpec::Splitting { .. }) {
-                return Err(
-                    "splitting plans need a severity source (plan::run_plan on a PlanPoint); \
-                     campaign jobs expose only pass/fail trials"
-                        .to_string(),
-                );
-            }
-        }
+        Some(plan) => plan.validate().map_err(|e| e.to_string())?,
         None if spec.trials == 0 => {
             return Err("campaign jobs need trials >= 1 and requests_per_trial >= 1".to_string())
         }

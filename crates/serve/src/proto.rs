@@ -45,8 +45,6 @@ pub struct JobSpec {
     /// checkpoints and resumes with the report, and `status` rows carry
     /// the convergence line. `fixed:N` runs N trials with a plan-less
     /// report, like `None`, which runs the classic fixed-`trials` loop.
-    /// Splitting specs are rejected at submit time: whole campaigns
-    /// expose only pass/fail bits, not severities.
     ///
     /// [`CampaignBuilder::plan`]: pfault_platform::campaign::CampaignBuilder::plan
     pub plan: Option<PlanSpec>,
