@@ -218,7 +218,14 @@ pub struct TestPlatform {
 impl TestPlatform {
     /// Creates a platform for the given trial configuration.
     pub fn new(config: TrialConfig) -> Self {
-        let config_digest = fnv64(format!("{config:?}").as_bytes());
+        // Probes and the watchdog only look and guard, so the digest
+        // (which seeds the warm-up) hashes them at their defaults.
+        let neutral = TrialConfig {
+            obs: false,
+            watchdog: Watchdog::generous(),
+            ..config
+        };
+        let config_digest = fnv64(format!("{neutral:?}").as_bytes());
         TestPlatform {
             config,
             config_digest,
@@ -231,9 +238,10 @@ impl TestPlatform {
     }
 
     /// A stable digest of the trial configuration (FNV-1a over its debug
-    /// rendering). Two platforms with equal digests produce identical
-    /// warm snapshots, so the campaign engine keys its snapshot cache on
-    /// this value.
+    /// rendering, with [`TrialConfig::obs`] and [`TrialConfig::watchdog`]
+    /// at their defaults). Two platforms with equal digests produce
+    /// identical warm snapshots, so the campaign engine keys its snapshot
+    /// cache on this value.
     pub fn config_digest(&self) -> u64 {
         self.config_digest
     }

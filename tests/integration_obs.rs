@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use pfault_obs::{parse_jsonl_line, render_records, Metrics};
 use pfault_platform::campaign::{Campaign, CampaignConfig};
-use pfault_platform::platform::{TestPlatform, TrialConfig};
+use pfault_platform::platform::{TestPlatform, TrialConfig, Watchdog};
 use pfault_sim::storage::GIB;
 use pfault_workload::WorkloadSpec;
 
@@ -110,20 +110,36 @@ fn campaign_aggregates_per_failure_class_telemetry() {
 }
 
 proptest! {
-    // The probe bus is observation only: enabling it must never change
-    // what a trial concludes.
+    // The probe bus and the watchdog only look and guard: enabling
+    // probes, or setting budgets that never fire, must never change what
+    // a trial concludes, cold or warmed up.
     #[test]
-    fn probes_never_change_trial_classification(seed in 0u64..1000, requests in 20usize..40) {
+    fn probes_never_change_trial_classification(
+        seed in 0u64..1000,
+        requests in 20usize..40,
+        warmup in prop::sample::select(vec![0usize, 64]),
+    ) {
         let base = TrialConfig::paper_default()
             .with_workload(WorkloadSpec::builder().wss_bytes(8 * GIB).build())
-            .with_requests(requests);
+            .with_requests(requests)
+            .with_warmup_requests(warmup);
         let quiet = TestPlatform::new(base).run_trial(seed).expect("trial runs");
         let observed = TestPlatform::new(base.with_obs(true))
             .run_trial(seed)
             .expect("trial runs");
-        prop_assert_eq!(quiet.counts, observed.counts);
-        prop_assert_eq!(quiet.verdicts, observed.verdicts);
-        prop_assert_eq!(quiet.fault_commanded_ms, observed.fault_commanded_ms);
+        let guarded = TrialConfig {
+            watchdog: Watchdog {
+                max_sim_time_us: Some(100_000_000),
+                max_events: Some(100_000_000),
+            },
+            ..base
+        };
+        let guarded = TestPlatform::new(guarded).run_trial(seed).expect("trial runs");
+        for other in [&observed, &guarded] {
+            prop_assert_eq!(&quiet.counts, &other.counts);
+            prop_assert_eq!(&quiet.verdicts, &other.verdicts);
+            prop_assert_eq!(quiet.fault_commanded_ms, other.fault_commanded_ms);
+        }
         prop_assert!(quiet.probe_records.is_empty());
         prop_assert!(!observed.probe_records.is_empty());
     }
