@@ -192,12 +192,21 @@ fn campaign_ci_spec() -> PlanSpec {
     }
 }
 
+/// The worker count each worker-count check compares `threads` with.
+fn other_workers(threads: usize) -> usize {
+    if threads == 1 {
+        3
+    } else {
+        1
+    }
+}
+
 /// Runs the full extension: microtrial plans on the census point plus
 /// the real planned campaign, all deterministically derived from
 /// `seed`.
 pub fn run(scale: ExperimentScale, seed: u64) -> Result<PlanExpReport, PlatformError> {
     let threads = scale.threads;
-    let other = if threads == 1 { 3 } else { 1 };
+    let other = other_workers(threads);
     let point = census_point(seed)?;
     let (vulnerable_site, vulnerable_weight) = point.vulnerable();
 
@@ -307,8 +316,9 @@ pub fn check(report: &PlanExpReport) -> Vec<String> {
     failures
 }
 
-/// Human-readable rendering for the `repro` text output.
-pub fn render(report: &PlanExpReport) -> String {
+/// Human-readable rendering for the `repro` text output; `threads` is
+/// the worker count the report ran on.
+pub fn render(report: &PlanExpReport, threads: usize) -> String {
     let mut text = String::new();
     let _ = writeln!(
         text,
@@ -348,8 +358,12 @@ pub fn render(report: &PlanExpReport) -> String {
     );
     let _ = writeln!(
         text,
-        "planned campaign: {} real trials; serial==threaded: {}, resume==uninterrupted: {}",
-        report.campaign_trials, report.campaign_engines_agree, report.campaign_resume_matches
+        "planned campaign: {} real trials; {} vs {} workers byte-equal: {}, resume==uninterrupted: {}",
+        report.campaign_trials,
+        threads,
+        other_workers(threads),
+        report.campaign_engines_agree,
+        report.campaign_resume_matches
     );
     text
 }
@@ -384,7 +398,7 @@ mod tests {
         let failures = check(&report);
         assert!(failures.is_empty(), "{failures:?}");
         assert!(report.gain >= 10.0, "gain {:.1}", report.gain);
-        let text = render(&report);
+        let text = render(&report, tiny_scale().threads);
         assert!(text.contains("Extension P"));
         assert!(text.contains("gain"));
     }

@@ -500,7 +500,7 @@ fn run_plan(ctx: &ExperimentCtx) -> Result<ExperimentReport, PlatformError> {
     let report = plan::run(ctx.sweep_scale(), ctx.seed)?;
     let checks = plan::check(&report);
     Ok(ExperimentReport {
-        text: plan::render(&report),
+        text: plan::render(&report, ctx.sweep_scale().threads),
         json_key: "plan",
         json: json_of(&report),
         check_failures: checks,
