@@ -3,15 +3,12 @@
 //! Every experiment in the platform takes a single `u64` seed; all stochastic
 //! decisions (request addresses, sizes, fault instants, bit-error draws)
 //! derive from it through [`DetRng`], a xoshiro256\*\* generator seeded via
-//! SplitMix64. The generator implements [`rand::RngCore`], so the full
-//! `rand` API ([`rand::Rng`]) is available on it.
+//! SplitMix64.
 //!
 //! [`DetRng::fork`] derives an independent child stream from a label, which
 //! lets subsystems (IO generator vs. fault scheduler vs. flash bit errors)
 //! consume randomness without perturbing each other — adding a draw in one
 //! subsystem does not shift every other subsystem's sequence.
-
-use rand::RngCore;
 
 /// Deterministic xoshiro256\*\* random number generator.
 ///
@@ -19,13 +16,12 @@ use rand::RngCore;
 ///
 /// ```
 /// use pfault_sim::DetRng;
-/// use rand::{Rng, RngCore};
 ///
 /// let mut a = DetRng::new(42);
 /// let mut b = DetRng::new(42);
 /// assert_eq!(a.next_u64(), b.next_u64());
 ///
-/// let x: f64 = a.gen_range(0.0..1.0);
+/// let x = a.unit_f64();
 /// assert!((0.0..1.0).contains(&x));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,7 +64,6 @@ impl DetRng {
     ///
     /// ```
     /// use pfault_sim::DetRng;
-    /// use rand::RngCore;
     ///
     /// let parent = DetRng::new(7);
     /// let mut io = parent.fork("io-generator");
@@ -100,9 +95,6 @@ impl DetRng {
     }
 
     /// Advances the xoshiro256\*\* state and returns the next 64-bit value.
-    ///
-    /// This is an inherent method (shadowing [`RngCore::next_u64`]) so that
-    /// downstream crates can draw values without importing `rand`.
     pub fn next_u64(&mut self) -> u64 {
         self.step()
     }
@@ -194,28 +186,6 @@ impl DetRng {
     pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         assert!(!items.is_empty(), "cannot pick from an empty slice");
         &items[self.below(items.len() as u64) as usize]
-    }
-}
-
-impl RngCore for DetRng {
-    fn next_u32(&mut self) -> u32 {
-        (self.step() >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.step()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let v = self.step().to_le_bytes();
-            chunk.copy_from_slice(&v[..chunk.len()]);
-        }
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
     }
 }
 
@@ -331,13 +301,5 @@ mod tests {
             seen.insert(*r.pick(&items));
         }
         assert_eq!(seen.len(), 3);
-    }
-
-    #[test]
-    fn fill_bytes_fills_oddsized_buffers() {
-        let mut r = DetRng::new(61);
-        let mut buf = [0u8; 13];
-        r.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 }
